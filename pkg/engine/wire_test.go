@@ -48,6 +48,35 @@ func goldenResponse(t *testing.T, name string) *engine.Response {
 			t.Fatal(err)
 		}
 		return resp
+	case "ua741":
+		// diffgain evaluates the merged-row and shorted projections.
+		inp, inn, out := circuits.UA741Inputs()
+		resp, err := eng.Generate(t.Context(), engine.Request{
+			Circuit: circuits.UA741(),
+			Spec:    engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	case "rlc":
+		// The mna backend: inductor and voltage-source branch unknowns.
+		raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "rlc.sp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := engine.ParseNetlist(string(raw), "rlc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := eng.Generate(t.Context(), engine.Request{
+			Circuit: c,
+			Spec:    engine.Spec{Kind: "mna", Out: "out"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	case "degraded":
 		c, err := engine.ParseNetlist(
 			"gc2\nR1 in x 10k\nC1 x 0 2p\nR2 x out 20k\nC2 out 0 1p\nRl out 0 100k\n.end\n", "gc2")
@@ -83,7 +112,7 @@ func goldenResponse(t *testing.T, name string) *engine.Response {
 // fixtures (regenerate with go test ./pkg/engine -run Golden -update)
 // and proves the decode side reconstructs every coefficient exactly.
 func TestWireGolden(t *testing.T) {
-	for _, name := range []string{"biquad", "ladder40", "degraded"} {
+	for _, name := range []string{"biquad", "ladder40", "ua741", "rlc", "degraded"} {
 		t.Run(name, func(t *testing.T) {
 			resp := goldenResponse(t, name)
 			raw, err := engine.EncodeResponseJSON(resp)

@@ -312,6 +312,8 @@ func ua741Matrix(b *testing.B) *sparse.Matrix {
 	return sys.MatrixAt(complex(0, 1), 1/c.MeanCapacitance(), 1/c.MeanConductance())
 }
 
+// BenchmarkDetSparseUA741 is one full factorization per op: Markowitz
+// pivot search plus compile of the 49×49 pattern, then the determinant.
 func BenchmarkDetSparseUA741(b *testing.B) {
 	m := ua741Matrix(b)
 	b.ResetTimer()
@@ -341,23 +343,56 @@ func BenchmarkDetDenseUA741(b *testing.B) {
 	}
 }
 
-// --- ablation: pivot-plan reuse vs full Markowitz per factorization ---
-
-func BenchmarkDetPlannedUA741(b *testing.B) {
-	m := ua741Matrix(b)
-	var plan sparse.Plan
-	if _, err := m.FactorPlanned(&plan); err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkSymbolicUA741 times the symbolic phase of one 48×48 cofactor
+// pattern — Markowitz priming plus compile — which a cold µA741
+// reference pays once per determinant pattern it evaluates.
+func BenchmarkSymbolicUA741(b *testing.B) {
+	c := circuits.UA741()
+	inp, _, out := circuits.UA741Inputs()
+	m := ua741Matrix(b).Minor([]int{c.NodeIndex(inp)}, []int{c.NodeIndex(out)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := m.FactorPlanned(&plan)
+		if _, err := m.FactorInPlace(sparse.DefaultThreshold); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// --- ablation: compiled pivot-order replay vs full Markowitz per factorization ---
+
+// BenchmarkDetPlannedUA741 is the per-point numeric phase: stamp the
+// 49×49 values into the flat slots, replay the compiled elimination of
+// the primed pattern, take the determinant.
+func BenchmarkDetPlannedUA741(b *testing.B) {
+	m := ua741Matrix(b)
+	var rows, cols []int
+	var vals []complex128
+	for i := 0; i < m.N(); i++ {
+		for j := 0; j < m.N(); j++ {
+			if v := m.At(i, j); v != 0 {
+				rows, cols, vals = append(rows, i), append(cols, j), append(vals, v)
+			}
+		}
+	}
+	p, slot := sparse.NewPattern(m.N(), rows, cols)
+	var ws sparse.Workspace
+	factor := func() {
+		st := ws.Stamps(p)
+		for k, v := range vals {
+			sparse.Add(st, slot[k], v)
+		}
+		f, err := p.Factor(st, &ws)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if f.Det().Zero() {
 			b.Fatal("zero det")
 		}
+	}
+	factor() // primes the pattern
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		factor()
 	}
 }
 

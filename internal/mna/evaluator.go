@@ -31,37 +31,11 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// matrixScaled assembles Y_MNA with conductance-dimension entries
-// multiplied by gscale, frequency-proportional entries by s·fscale, and
-// structural entries untouched.
-func (sys *System) matrixScaled(s complex128, fscale, gscale float64) *sparse.Matrix {
-	m := sparse.New(sys.dim)
-	sys.assembleScaledInto(m, s, fscale, gscale)
-	return m
-}
-
-// assembleScaledInto re-assembles the scaled MNA matrix into dst in a
-// fixed stamp order, reusing dst's allocations (see Matrix.Reset).
-func (sys *System) assembleScaledInto(dst *sparse.Matrix, s complex128, fscale, gscale float64) {
-	dst.Reset()
-	for _, st := range sys.gDim {
-		dst.Add(st.i, st.j, complex(st.v*gscale, 0))
-	}
-	for _, st := range sys.structural {
-		dst.Add(st.i, st.j, complex(st.v, 0))
-	}
-	sc := s * complex(fscale, 0)
-	for _, st := range sys.sProp {
-		dst.Add(st.i, st.j, sc*complex(st.v, 0))
-	}
-}
-
 // evalScratch is the reusable per-worker evaluation state of the one
-// MNA sparsity pattern: the assembly matrix (row maps keep their buckets
-// across Reset), the planned-factorization workspace, and the RHS and
-// solution vectors of the transfer solve.
+// MNA sparsity pattern: the factorization workspace (flat stamp and
+// slot-value buffers) and the RHS and solution vectors of the transfer
+// solve.
 type evalScratch struct {
-	mat *sparse.Matrix
 	ws  sparse.Workspace
 	rhs []complex128
 	sol []complex128
@@ -79,7 +53,6 @@ func (sys *System) getScratch() *evalScratch {
 	}
 	sys.scratchMu.Unlock()
 	return &evalScratch{
-		mat: sparse.New(sys.dim),
 		rhs: make([]complex128, sys.dim),
 		sol: make([]complex128, sys.dim),
 	}
@@ -92,21 +65,32 @@ func (sys *System) putScratch(sc *evalScratch) {
 	sys.scratchMu.Unlock()
 }
 
-// factorAt assembles the scaled matrix into sc and factors it under
-// the system's shared pivot-order plan (primed once per System by the
-// first successful factorization; replayed read-only afterwards — across
+// factorAt stamps Y_MNA — conductance-dimension entries multiplied by
+// gscale, frequency-proportional entries by s·fscale, structural entries
+// untouched, in a fixed stamp order — into sc's slots and factors it
+// under the system's shared plan (primed once per System by the first
+// successful factorization; replayed read-only afterwards — across
 // points, frames, and both the det and transfer evaluators, which share
 // the one MNA sparsity pattern). Once the plan is primed the replay
-// reuses sc's workspace and allocates nothing. A plan miss re-assembles
-// and runs a private full factorization without touching the plan.
+// allocates nothing. A plan miss runs a private full factorization
+// without touching the plan.
 func (sys *System) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	sys.assembleScaledInto(sc.mat, s, fscale, gscale)
-	lu, err := sc.mat.FactorSharedInto(sys.detPlan, &sc.ws)
-	if err == sparse.ErrPlanMiss {
-		sys.assembleScaledInto(sc.mat, s, fscale, gscale)
-		lu, err = sc.mat.FactorInPlace(sparse.DefaultThreshold)
+	b := sc.ws.Stamps(sys.pat)
+	slots := sys.slots
+	for _, st := range sys.gDim {
+		sparse.Add(b, slots[0], complex(st.v*gscale, 0))
+		slots = slots[1:]
 	}
-	return lu, err
+	for _, st := range sys.structural {
+		sparse.Add(b, slots[0], complex(st.v, 0))
+		slots = slots[1:]
+	}
+	sf := s * complex(fscale, 0)
+	for _, st := range sys.sProp {
+		sparse.Add(b, slots[0], sf*complex(st.v, 0))
+		slots = slots[1:]
+	}
+	return sys.pat.Factor(b, &sc.ws)
 }
 
 // detAt evaluates D(s) = det Y_MNA(s), zero when singular.
@@ -168,7 +152,7 @@ func (sys *System) evaluator(name string, bound int, at func(sc *evalScratch, s 
 					sys.putScratch(sc)
 				}
 			}()
-			return interp.RunBatch(ctx, points, workers, sys.detPlan.Primed, func() func(complex128) xmath.XComplex {
+			return interp.RunBatch(ctx, points, workers, sys.pat.Primed, func() func(complex128) xmath.XComplex {
 				sc := sys.getScratch()
 				mu.Lock()
 				acquired = append(acquired, sc)
@@ -260,6 +244,6 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		}
 		return det.MulComplex(x[idx]), det
 	}
-	tf.BothReady = sys.detPlan.Primed
+	tf.BothReady = sys.pat.Primed
 	return tf, nil
 }

@@ -45,12 +45,14 @@ type System struct {
 	rhs        []float64
 	branch     map[string]int // element name -> branch unknown index
 	names      []string       // unknown labels for diagnostics
-	// detPlan is the shared pivot-order plan for the one MNA sparsity
-	// pattern, primed by the first successful factorization of a
-	// generation run and replayed read-only at every later point (see
-	// sparse.SharedPlan). It is held by pointer so AdoptPlan can share
-	// one plan across the Systems of a batch sweep.
-	detPlan *sparse.SharedPlan
+	// pat is the one MNA sparsity pattern with its shared plan, primed
+	// by the first successful factorization of a generation run and
+	// replayed read-only at every later point (see sparse.Pattern);
+	// slots holds the value slot of each stamp of gDim, structural and
+	// sProp, in that order. Both are held by reference so AdoptPlan can
+	// share one plan across the Systems of a batch sweep.
+	pat   *sparse.Pattern
+	slots []int32
 
 	// scratchMu guards free, the evaluation-scratch free list shared by
 	// every evaluator of the system (they all factor the one MNA
@@ -73,7 +75,7 @@ func (sys *System) AdoptPlan(prev *System) bool {
 		!sameStampPositions(sys.sProp, prev.sProp) {
 		return false
 	}
-	sys.detPlan = prev.detPlan
+	sys.pat, sys.slots = prev.pat, prev.slots
 	return true
 }
 
@@ -98,7 +100,7 @@ func Build(c *circuit.Circuit) (*System, error) {
 		return nil, err
 	}
 	n := c.NumNodes()
-	sys := &System{c: c, n: n, branch: make(map[string]int), detPlan: new(sparse.SharedPlan)}
+	sys := &System{c: c, n: n, branch: make(map[string]int)}
 	// First pass: allocate branch unknowns for voltage-defined elements.
 	dim := n
 	for _, e := range c.Elements() {
@@ -177,6 +179,14 @@ func Build(c *circuit.Circuit) (*System, error) {
 			return nil, fmt.Errorf("mna: unsupported element kind %v", e.Kind)
 		}
 	}
+	var rows, cols []int
+	for _, list := range [][]stamp{sys.gDim, sys.structural, sys.sProp} {
+		for _, st := range list {
+			rows = append(rows, st.i)
+			cols = append(cols, st.j)
+		}
+	}
+	sys.pat, sys.slots = sparse.NewPattern(dim, rows, cols)
 	return sys, nil
 }
 

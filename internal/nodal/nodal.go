@@ -101,28 +101,44 @@ func mergedRowsProjection(n, a, b, c int) projection {
 	return projection{dim: n - 1, row: mergeMap(n, a, b), col: dropMap(n, c), sign: sign}
 }
 
-// pattern pairs a projection with the shared pivot-order plan for its
-// sparsity pattern. The plan is primed by the first successful
-// factorization anywhere in a run and replayed read-only at every later
-// point — across all points of a frame and all frames of a Generate run.
-// The pattern also owns the free list of evaluation scratches for its
-// dimension, so steady-state evaluation reuses assembly matrices,
-// factorization workspaces and RHS vectors instead of allocating per
-// point.
+// pattern pairs a projection with the sparse pattern its stamps land
+// in: each stamp's value slot, and the shared plan compiled by the first
+// successful factorization anywhere in a run and replayed read-only at
+// every later point — across all points of a frame and all frames of a
+// Generate run. The pattern also owns the free list of evaluation
+// scratches for its dimension, so steady-state evaluation reuses slot
+// buffers and RHS vectors instead of allocating per point.
 type pattern struct {
-	proj projection
-	plan sparse.SharedPlan
+	proj  projection
+	lu    *sparse.Pattern
+	gSlot []int32 // slot of each conductance stamp, −1 when projected out
+	cSlot []int32 // slot of each capacitance stamp, −1 when projected out
 
 	scratchMu sync.Mutex
 	free      []*evalScratch
 }
 
+// newPattern projects the system's stamp positions through pr and
+// numbers the distinct targets.
+func (sys *System) newPattern(pr projection) *pattern {
+	ng := len(sys.gStamps)
+	rows := make([]int, 0, ng+len(sys.cStamps))
+	cols := make([]int, 0, cap(rows))
+	for _, list := range [][]stamp{sys.gStamps, sys.cStamps} {
+		for _, st := range list {
+			rows = append(rows, pr.row[st.i])
+			cols = append(cols, pr.col[st.j])
+		}
+	}
+	lu, slot := sparse.NewPattern(pr.dim, rows, cols)
+	return &pattern{proj: pr, lu: lu, gSlot: slot[:ng], cSlot: slot[ng:]}
+}
+
 // evalScratch is the per-worker reusable evaluation state of one
-// pattern: the assembly matrix (whose row maps keep their buckets across
-// Reset), the planned-factorization workspace, and the Cramer
-// RHS/solution vectors, all sized for the pattern's dimension.
+// pattern: the factorization workspace (flat stamp and slot-value
+// buffers) and the Cramer RHS/solution vectors, all sized for the
+// pattern's dimension.
 type evalScratch struct {
-	mat *sparse.Matrix
 	ws  sparse.Workspace
 	rhs []complex128
 	sol []complex128
@@ -145,7 +161,6 @@ func (pat *pattern) get() *evalScratch {
 	pat.scratchMu.Unlock()
 	dim := pat.proj.dim
 	return &evalScratch{
-		mat: sparse.New(dim),
 		rhs: make([]complex128, dim),
 		sol: make([]complex128, dim),
 	}
@@ -158,40 +173,33 @@ func (pat *pattern) put(sc *evalScratch) {
 	pat.scratchMu.Unlock()
 }
 
-// assembleInto re-assembles the projected scaled matrix into dst,
-// reusing dst's allocations. Stamps are applied in a fixed order, so the
-// assembled values are identical on every call with the same arguments.
-func (sys *System) assembleInto(dst *sparse.Matrix, pr *projection, s complex128, fscale, gscale float64) {
-	dst.Reset()
-	for _, st := range sys.gStamps {
-		i, j := pr.row[st.i], pr.col[st.j]
-		if i >= 0 && j >= 0 {
-			dst.Add(i, j, complex(st.v*gscale, 0))
-		}
-	}
-	sc := s * complex(fscale, 0)
-	for _, st := range sys.cStamps {
-		i, j := pr.row[st.i], pr.col[st.j]
-		if i >= 0 && j >= 0 {
-			dst.Add(i, j, sc*complex(st.v, 0))
-		}
-	}
-}
-
-// detAt evaluates the pattern's signed determinant at one point, using
-// sc for the assembly and the planned-replay factorization — once the
-// shared plan is primed, the whole evaluation allocates nothing. On a
-// plan miss (the recorded pivot order does not fit this matrix's values)
-// it re-assembles and runs a private full factorization — the shared
+// factorAt stamps the projected scaled matrix into sc's slots — in the
+// fixed stamp order and with the arithmetic of MatrixAt, so the values
+// are bitwise those of the assembled matrix — and factors it under the
+// pattern's shared plan. Once the plan is primed the whole evaluation
+// allocates nothing. A plan miss (the compiled pivot order does not fit
+// this matrix's values) falls back to a private full factorization; the
 // plan itself is never mutated, so the value at a point never depends on
 // which points were evaluated before it (beyond the one-time priming).
-func (sys *System) detAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-	sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-	lu, err := sc.mat.FactorSharedInto(&pat.plan, &sc.ws)
-	if err == sparse.ErrPlanMiss {
-		sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-		lu, err = sc.mat.FactorInPlace(sparse.DefaultThreshold)
+func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	b := sc.ws.Stamps(pat.lu)
+	for k, st := range sys.gStamps {
+		if t := pat.gSlot[k]; t >= 0 {
+			sparse.Add(b, t, complex(st.v*gscale, 0))
+		}
 	}
+	sf := s * complex(fscale, 0)
+	for k, st := range sys.cStamps {
+		if t := pat.cSlot[k]; t >= 0 {
+			sparse.Add(b, t, sf*complex(st.v, 0))
+		}
+	}
+	return pat.lu.Factor(b, &sc.ws)
+}
+
+// detAt evaluates the pattern's signed determinant at one point.
+func (sys *System) detAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+	lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
 	if err != nil {
 		return xmath.XComplex{}
 	}
@@ -231,7 +239,7 @@ type System struct {
 // planning: every point of a topology re-uses the plans the first point
 // primed (and contributes any new ones). The map is shared by reference,
 // so sys and prev must not Formulate concurrently afterwards; concurrent
-// evaluation stays safe (plans have their own locks).
+// evaluation stays safe (plans are primed atomically).
 func (sys *System) AdoptPatterns(prev *System) bool {
 	if prev == nil || sys.n != prev.n ||
 		!sameStampPositions(sys.gStamps, prev.gStamps) ||
@@ -274,7 +282,7 @@ func (sys *System) pattern(key [2]int, mk func() projection) *pattern {
 	}
 	p, ok := sys.patterns[key]
 	if !ok {
-		p = &pattern{proj: mk()}
+		p = sys.newPattern(mk())
 		sys.patterns[key] = p
 	}
 	return p
@@ -306,7 +314,7 @@ func (sys *System) evaluator(name string, m int, key [2]int, mk func() projectio
 					pat.put(sc)
 				}
 			}()
-			return interp.RunBatch(ctx, points, workers, pat.plan.Primed, func() func(complex128) xmath.XComplex {
+			return interp.RunBatch(ctx, points, workers, pat.lu.Primed, func() func(complex128) xmath.XComplex {
 				sc := pat.get()
 				mu.Lock()
 				acquired = append(acquired, sc)
@@ -336,12 +344,7 @@ func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex
 	evalBoth := func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
 		sc := pat.get()
 		defer pat.put(sc)
-		sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-		lu, err := sc.mat.FactorSharedInto(&pat.plan, &sc.ws)
-		if err == sparse.ErrPlanMiss {
-			sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-			lu, err = sc.mat.FactorInPlace(sparse.DefaultThreshold)
-		}
+		lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
@@ -355,7 +358,7 @@ func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex
 		}
 		return pick(lu.Det(), sc.sol)
 	}
-	return evalBoth, pat.plan.Primed
+	return evalBoth, pat.lu.Primed
 }
 
 // cramerValue returns det·x[j] = C_in,j, zero when the solve produced a

@@ -5,18 +5,25 @@
 //
 // Circuit matrices are extremely sparse (a handful of entries per row),
 // and the reference generator factors the same pattern at dozens of
-// interpolation points per iteration, so fill-minimizing pivot selection
-// pays off. Pivots are chosen to minimize the Markowitz count
-// (r−1)(c−1) subject to a relative magnitude threshold against the
-// largest entry of the candidate's column, which bounds element growth.
+// interpolation points per iteration, so the work splits in two phases:
+//
+//   - Symbolic (once per pattern): pivots are chosen to minimize the
+//     Markowitz count (r−1)(c−1) subject to a relative magnitude
+//     threshold against the largest entry of the candidate's column,
+//     which bounds element growth. The chosen order, its fill and every
+//     elimination step are compiled into flat slot lists (Symbolic).
+//   - Numeric (every point): the caller stamps values straight into a
+//     flat []complex128 of slots and the compiled lists are replayed
+//     over it, with no maps and no allocation.
 package sparse
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/xmath"
 )
@@ -25,11 +32,10 @@ import (
 // matrix.
 var ErrSingular = errors.New("sparse: matrix is singular")
 
-// ErrPlanMiss is returned by FactorSharedInPlace when the recorded pivot
-// order could not be replayed (a pivot vanished structurally or went
-// numerically bad). The receiver's contents are destroyed by the failed
-// replay; the caller must re-assemble the matrix before retrying with
-// FactorInPlace.
+// ErrPlanMiss is returned when a compiled pivot order could not be
+// replayed on a matrix: a planned pivot vanished or failed the stability
+// guard, or the matrix has an entry outside the compiled pattern. The
+// caller falls back to a full factorization (FactorInPlace).
 var ErrPlanMiss = errors.New("sparse: planned pivot order failed on this matrix")
 
 // DefaultThreshold is the relative pivot magnitude threshold u: a pivot
@@ -37,7 +43,15 @@ var ErrPlanMiss = errors.New("sparse: planned pivot order failed on this matrix"
 // compromise between sparsity and stability (Duff/Erisman/Reid).
 const DefaultThreshold = 0.1
 
+// guardRatio is the stability guard of a replay: a planned pivot smaller
+// than guardRatio × the largest entry of its remaining row fails the
+// replay with ErrPlanMiss.
+const guardRatio = 1e-10
+
 // Matrix is a square sparse complex matrix assembled by accumulation.
+// It is the assembly container of the one-off callers (MatrixAt, Minor,
+// Det, Solve); the per-point evaluation paths stamp into a Pattern's
+// flat slots instead.
 type Matrix struct {
 	n    int
 	rows []map[int]complex128
@@ -91,15 +105,6 @@ func (m *Matrix) NNZ() int {
 		t += len(r)
 	}
 	return t
-}
-
-// Reset zeroes every entry while keeping the allocated row maps, so a
-// scratch matrix can be re-assembled once per evaluation point without
-// re-allocating its pattern storage.
-func (m *Matrix) Reset() {
-	for _, r := range m.rows {
-		clear(r)
-	}
 }
 
 // Clone returns a deep copy.
@@ -171,61 +176,11 @@ func (m *Matrix) String() string {
 	return s
 }
 
-// LU holds a sparse factorization with full (row and column) pivoting:
-// P·A·Q = L·U, recorded as the per-step pivot positions, the eliminated
-// pivot rows (the rows of U in original column indices) and the
-// elimination multipliers.
-//
-// The U rows are stored as column-sorted slices so that back-substitution
-// accumulates in a fixed order: repeated factorizations of the same
-// matrix yield bit-identical Solve results, which the parallel batched
-// evaluation layer relies on.
-type LU struct {
-	n       int
-	pivRow  []int         // row chosen at step k
-	pivCol  []int         // column chosen at step k
-	pivVal  []complex128  // pivot value at step k
-	urows   [][]urowEntry // pivot row contents at elimination time (incl. pivot), sorted by column
-	mults   [][]multEntry // multipliers applied at step k
-	detSign int
-}
-
-type multEntry struct {
-	row  int
-	mult complex128
-}
-
-type urowEntry struct {
-	col int
-	val complex128
-}
-
-// sortedURow snapshots the active entries of a pivot row in column order.
-func sortedURow(row map[int]complex128, colActive []bool) []urowEntry {
-	return sortedURowInto(make([]urowEntry, 0, len(row)), row, colActive)
-}
-
-// sortedURowInto is sortedURow appending into dst (truncated first), so a
-// reused per-step slice keeps its capacity across factorizations. Column
-// keys are map keys, hence unique, so the sorted order — and with it
-// every downstream rounded intermediate — does not depend on the sort
-// algorithm's stability.
-func sortedURowInto(dst []urowEntry, row map[int]complex128, colActive []bool) []urowEntry {
-	u := dst[:0]
-	for j, v := range row {
-		if colActive[j] {
-			u = append(u, urowEntry{col: j, val: v})
-		}
-	}
-	slices.SortFunc(u, func(a, b urowEntry) int { return a.col - b.col })
-	return u
-}
-
 // Det computes the determinant by Markowitz-pivoted elimination with the
 // default stability threshold. The receiver is not modified. A singular
 // matrix yields exactly zero.
 func (m *Matrix) Det() xmath.XComplex {
-	f, err := m.Factor(DefaultThreshold)
+	f, err := m.FactorInPlace(DefaultThreshold)
 	if err != nil {
 		return xmath.XComplex{}
 	}
@@ -234,580 +189,596 @@ func (m *Matrix) Det() xmath.XComplex {
 
 // Solve factors the matrix and solves A·x = b.
 func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
-	f, err := m.Factor(DefaultThreshold)
+	f, err := m.FactorInPlace(DefaultThreshold)
 	if err != nil {
 		return nil, err
 	}
 	return f.Solve(b)
 }
 
-// Factor runs Markowitz-pivoted Gaussian elimination. At each step the
-// pivot with minimal Markowitz count (r−1)(c−1) is chosen among entries
-// passing |a| ≥ threshold·max|column|; ties break toward larger
-// magnitude, then toward the smallest (row, column) pair, so the chosen
-// pivot sequence — and with it every rounded intermediate — is a pure
-// function of the matrix values. The receiver is not modified.
-func (m *Matrix) Factor(threshold float64) (*LU, error) {
-	return m.Clone().FactorInPlace(threshold)
+// FactorInPlace runs the full Markowitz factorization (the symbolic
+// phase, see analyze) of the matrix's nonzero pattern. The receiver is
+// not modified.
+func (m *Matrix) FactorInPlace(threshold float64) (*LU, error) {
+	var rows, cols []int32
+	var vals []complex128
+	for i, r := range m.rows {
+		start := len(cols)
+		for j := range r {
+			cols = append(cols, int32(j))
+		}
+		slices.Sort(cols[start:])
+		for _, j := range cols[start:] {
+			rows = append(rows, int32(i))
+			vals = append(vals, r[int(j)])
+		}
+	}
+	_, f, err := analyze(m.n, rows, cols, vals, threshold)
+	return f, err
 }
 
-// FactorInPlace is Factor without the defensive copy: it consumes the
-// receiver's contents (which are undefined afterwards). Use it on scratch
-// matrices that are re-assembled before every factorization.
-func (w *Matrix) FactorInPlace(threshold float64) (*LU, error) {
-	n := w.n
-	f := &LU{
-		n:       n,
-		pivRow:  make([]int, 0, n),
-		pivCol:  make([]int, 0, n),
-		pivVal:  make([]complex128, 0, n),
-		urows:   make([][]urowEntry, 0, n),
-		mults:   make([][]multEntry, 0, n),
-		detSign: 1,
+// FactorSharedInto factors the matrix under the shared plan: when the
+// plan is primed it scatters the entries into ws's slots and replays the
+// compiled elimination (allocation-free; the returned LU aliases ws and
+// is valid until ws's next factorization), returning ErrPlanMiss when the
+// replay fails or an entry lies outside the compiled pattern; otherwise
+// it full-factors and primes the plan. The receiver is not modified.
+func (m *Matrix) FactorSharedInto(sp *SharedPlan, ws *Workspace) (*LU, error) {
+	if sp == nil {
+		return m.FactorInPlace(DefaultThreshold)
 	}
-	rowActive := make([]bool, n)
-	colActive := make([]bool, n)
-	colCount := make([]int, n) // nonzeros per active column over active rows
-	for i := range rowActive {
-		rowActive[i] = true
-		colActive[i] = true
-	}
-	for _, r := range w.rows {
-		for j := range r {
-			colCount[j]++
+	sym := sp.sym.Load()
+	if sym == nil {
+		f, err := m.FactorInPlace(DefaultThreshold)
+		if err == nil {
+			sp.sym.CompareAndSwap(nil, f.sym)
 		}
+		return f, err
+	}
+	if sym.n != m.n {
+		return m.FactorInPlace(DefaultThreshold)
+	}
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	a := grow(&ws.vals, len(sym.row))
+	for i, r := range m.rows {
+		lo, hi := sym.rowPtr[i], sym.rowPtr[i+1]
+		found := 0
+		for k, j := range sym.byRowCol[lo:hi] {
+			if v, ok := r[int(j)]; ok {
+				a[sym.byRow[int(lo)+k]] = v
+				found++
+			}
+		}
+		if found != len(r) { // an entry outside the compiled pattern
+			return nil, ErrPlanMiss
+		}
+	}
+	return sym.replay(a, ws)
+}
+
+// SharedPlan is a concurrency-safe holder of the compiled elimination of
+// one sparsity pattern — the batched point-evaluation layer factors the
+// same circuit pattern at every interpolation point of every frame of a
+// generation run.
+//
+// It is primed exactly once, by the first successful full factorization,
+// and never changed afterwards: later factorizations replay the compiled
+// order read-only and fall back to a private full Markowitz factorization
+// when a planned pivot vanishes or goes numerically unsafe. Because the
+// plan is immutable after priming, the result for a given matrix is a
+// pure function of the matrix and the plan — independent of evaluation
+// order and goroutine scheduling — which is what makes serial and
+// parallel batched runs bit-identical.
+type SharedPlan struct {
+	sym atomic.Pointer[Symbolic]
+}
+
+// Primed reports whether a pivot order has been compiled. Batch runners
+// use it to keep evaluating serially until the plan exists, so that the
+// point that primes the plan is the same in serial and parallel runs.
+func (sp *SharedPlan) Primed() bool { return sp.sym.Load() != nil }
+
+// Pattern is the fixed structure of a family of same-shaped matrices —
+// the projected stamp positions of one circuit determinant — plus the
+// shared plan the first successful factorization primes it with. Values
+// are stamped into a flat slice with one slot per distinct position
+// (Workspace.Stamps, Add) and factored with Factor.
+type Pattern struct {
+	n        int
+	row, col []int32 // position of each stamp slot
+	plan     SharedPlan
+}
+
+// NewPattern numbers the distinct positions (rows[k], cols[k]) of an n×n
+// matrix in first-use order. It returns the pattern and the slot of each
+// input position, −1 where the row or column is negative (deleted by a
+// projection).
+func NewPattern(n int, rows, cols []int) (*Pattern, []int32) {
+	// Group the inputs by row (a counting sort), then number each row's
+	// distinct columns in first-use order.
+	slot := make([]int32, len(rows))
+	start := make([]int, n+1)
+	for k, i := range rows {
+		if i >= 0 && cols[k] >= 0 {
+			start[i+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	order := make([]int, start[n])
+	next := slices.Clone(start[:n])
+	for k, i := range rows {
+		if i < 0 || cols[k] < 0 {
+			slot[k] = -1
+			continue
+		}
+		order[next[i]] = k
+		next[i]++
+	}
+	p := &Pattern{n: n}
+	mark := next // reused: col → slot within the current row
+	for j := range mark {
+		mark[j] = -1
+	}
+	for i := 0; i < n; i++ {
+		ks := order[start[i]:start[i+1]]
+		for _, k := range ks {
+			j := cols[k]
+			if mark[j] < 0 {
+				mark[j] = len(p.row)
+				p.row = append(p.row, int32(i))
+				p.col = append(p.col, int32(j))
+			}
+			slot[k] = int32(mark[j])
+		}
+		for _, k := range ks {
+			mark[cols[k]] = -1
+		}
+	}
+	return p, slot
+}
+
+// Primed reports whether the pattern's plan has been compiled.
+func (p *Pattern) Primed() bool { return p.plan.Primed() }
+
+// Factor factors the matrix whose stamp-slot values are b (from
+// ws.Stamps): it replays the compiled plan when primed, falling back to
+// a private full factorization on a plan miss without touching the plan;
+// otherwise it full-factors and primes. b is not modified. A replayed LU
+// aliases ws and is valid until ws's next factorization; once primed, a
+// successful replay allocates nothing.
+func (p *Pattern) Factor(b []complex128, ws *Workspace) (*LU, error) {
+	if sym := p.plan.sym.Load(); sym != nil {
+		a := grow(&ws.vals, len(sym.row))
+		copy(a, b)
+		if f, err := sym.replay(a, ws); err == nil {
+			return f, nil
+		}
+		_, f, err := analyze(p.n, p.row, p.col, b, DefaultThreshold)
+		return f, err
+	}
+	sym, f, err := analyze(p.n, p.row, p.col, b, DefaultThreshold)
+	if err != nil {
+		return nil, err
+	}
+	p.plan.sym.CompareAndSwap(nil, sym)
+	return f, nil
+}
+
+// Add accumulates v into slot s of stamped values with Matrix.Add's
+// arithmetic: a zero v is skipped and an exact cancellation leaves +0,
+// so the slots hold bitwise what an assembled Matrix would.
+func Add(b []complex128, s int32, v complex128) {
+	if v == 0 {
+		return
+	}
+	nv := b[s] + v
+	if nv == 0 {
+		nv = 0
+	}
+	b[s] = nv
+}
+
+// Workspace holds reusable factorization and solve storage: the stamp
+// slots, the slot values being factored (stamps plus fill, multipliers
+// overwriting the eliminated entries) and the forward-substitution
+// vector. A Workspace is not safe for concurrent use; the batched
+// evaluation layer keeps one per worker.
+type Workspace struct {
+	lu    LU
+	stamp []complex128
+	vals  []complex128
+	fwd   []complex128
+}
+
+// Stamps returns ws's stamp slots for p, zeroed, for the caller to
+// accumulate values into with Add before calling p.Factor.
+func (ws *Workspace) Stamps(p *Pattern) []complex128 { return grow(&ws.stamp, len(p.row)) }
+
+// grow returns (*buf)[:n] zeroed, reallocating only when n exceeds every
+// previous request.
+func grow(buf *[]complex128, n int) []complex128 {
+	if cap(*buf) < n {
+		*buf = make([]complex128, n)
+	}
+	b := (*buf)[:n]
+	clear(b)
+	return b
+}
+
+// Symbolic is one sparsity pattern compiled for one pivot order: every
+// slot's position (the stamp slots first, then the fill), and per
+// elimination step the pivot slot, the column-sorted U-row slots, the
+// L-column slots and, per L slot, the slots its row update writes.
+// It is immutable once built and shared read-only between workers.
+type Symbolic struct {
+	n        int
+	row, col []int32 // position of every slot
+	rowPtr   []int32 // slots of row i: byRow[rowPtr[i]:rowPtr[i+1]], at columns byRowCol[…]
+	byRow    []int32
+	byRowCol []int32
+	pivRow   []int
+	pivCol   []int
+	piv      []int32 // pivot slot of step k
+	uPtr     []int32 // U row of step k, pivot excluded: u[uPtr[k]:uPtr[k+1]]
+	u        []int32
+	lPtr     []int32 // L column of step k: l[lPtr[k]:lPtr[k+1]]
+	l        []int32
+	// dst holds one block of len(U row) targets per L slot, in step then
+	// L order: the L slot's row entry in the column of each U slot.
+	dst  []int32
+	sign int
+}
+
+// analyze is the symbolic phase: Markowitz-pivoted Gaussian elimination
+// of the n×n matrix with value b[s] at (rows[s], cols[s]), compiled into
+// a Symbolic as it goes. At each step the pivot with minimal Markowitz
+// count (r−1)(c−1) is chosen among nonzero entries passing
+// |a| ≥ threshold·max|column|; ties break toward larger magnitude, then
+// toward the smallest (row, column) pair, so the chosen pivot sequence —
+// and with it every rounded intermediate — is a pure function of the
+// values. Exact zeros are not counted and not eliminated, but the fill
+// is recorded for every structural position, so any matrix stamped into
+// the same positions replays on the result. It returns the Symbolic and
+// the factorization of b.
+func analyze(n int, rows, cols []int32, b []complex128, threshold float64) (*Symbolic, *LU, error) {
+	ns := len(b)
+	sym := &Symbolic{
+		n:      n,
+		row:    append(make([]int32, 0, 2*ns), rows...),
+		col:    append(make([]int32, 0, 2*ns), cols...),
+		pivRow: make([]int, 0, n),
+		pivCol: make([]int, 0, n),
+		piv:    make([]int32, 0, n),
+		uPtr:   append(make([]int32, 0, n+1), 0),
+		lPtr:   append(make([]int32, 0, n+1), 0),
+	}
+	a := append(make([]complex128, 0, 2*ns), b...)
+	mag := make([]float64, ns, 2*ns) // |a[s]|, kept current for the pivot search
+	rowCount := make([]int, n)       // nonzeros per active row over active columns
+	colCount := make([]int, n)       // nonzeros per active column over active rows
+	for s, v := range a {
+		mag[s] = cmplx.Abs(v)
+		if v != 0 {
+			rowCount[rows[s]]++
+			colCount[cols[s]]++
+		}
+	}
+	byRow := bucket(n, rows) // structural slots of each active row, active columns only
+	byCol := bucket(n, cols) // structural slots of each column
+	rowActive := make([]bool, n)
+	colMax := make([]float64, n)
+	colMaxAt := make([]int, n) // step+1 at which colMax[j] was computed
+	mark := make([]int32, n)
+	for i := range rowActive {
+		rowActive[i], mark[i] = true, -1
 	}
 	for step := 0; step < n; step++ {
-		// Column max magnitudes over active rows, for the threshold test.
-		colMax := make([]float64, n)
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			for j, v := range r {
-				if !colActive[j] {
-					continue
-				}
-				if a := cmplx.Abs(v); a > colMax[j] {
-					colMax[j] = a
-				}
-			}
-		}
-		// Pivot search: minimal (r−1)(c−1), ties broken by magnitude.
+		// Pivot search. A candidate whose cost exceeds the best so far
+		// cannot win, so only the others need the column maximum of the
+		// threshold test, computed once per column and step.
 		bestCost := int(^uint(0) >> 1)
 		bestAbs := 0.0
-		bi, bj := -1, -1
-		for i, r := range w.rows {
+		bi, bj, bs := -1, -1, int32(-1)
+		for i, rs := range byRow {
 			if !rowActive[i] {
 				continue
 			}
-			rc := 0
-			for j := range r {
-				if colActive[j] {
-					rc++
-				}
-			}
-			for j, v := range r {
-				if !colActive[j] {
+			rc := rowCount[i]
+			for _, s := range rs {
+				if a[s] == 0 {
 					continue
 				}
-				a := cmplx.Abs(v)
-				if a < threshold*colMax[j] {
-					continue
-				}
+				j := int(sym.col[s])
 				cost := (rc - 1) * (colCount[j] - 1)
+				if cost > bestCost {
+					continue
+				}
+				if colMaxAt[j] != step+1 {
+					colMaxAt[j] = step + 1
+					colMax[j] = 0
+					for _, t := range byCol[j] {
+						if rowActive[sym.row[t]] && mag[t] > colMax[j] {
+							colMax[j] = mag[t]
+						}
+					}
+				}
+				m := mag[s]
+				if m < threshold*colMax[j] {
+					continue
+				}
 				better := cost < bestCost ||
-					(cost == bestCost && (a > bestAbs ||
-						(a == bestAbs && (bi < 0 || i < bi || (i == bi && j < bj)))))
+					(cost == bestCost && (m > bestAbs ||
+						(m == bestAbs && (bi < 0 || i < bi || (i == bi && j < bj)))))
 				if better {
-					bestCost, bestAbs, bi, bj = cost, a, i, j
+					bestCost, bestAbs, bi, bj, bs = cost, m, i, j, s
 				}
 			}
 		}
 		if bi < 0 {
-			return nil, ErrSingular
+			return nil, nil, ErrSingular
 		}
-		piv := w.rows[bi][bj]
-		urow := sortedURow(w.rows[bi], colActive)
-		f.pivRow = append(f.pivRow, bi)
-		f.pivCol = append(f.pivCol, bj)
-		f.pivVal = append(f.pivVal, piv)
-		f.urows = append(f.urows, urow)
-		rowActive[bi] = false
-		colActive[bj] = false
-		for j := range w.rows[bi] {
-			if colActive[j] || j == bj {
-				colCount[j]--
+		piv := a[bs]
+		sym.pivRow = append(sym.pivRow, bi)
+		sym.pivCol = append(sym.pivCol, bj)
+		sym.piv = append(sym.piv, bs)
+		u0 := len(sym.u)
+		for _, s := range byRow[bi] {
+			if a[s] != 0 {
+				colCount[sym.col[s]]--
+			}
+			if s != bs {
+				sym.u = append(sym.u, s)
 			}
 		}
-		// Rank-1 update of the active submatrix.
-		var stepMults []multEntry
-		for i, r := range w.rows {
+		us := sym.u[u0:]
+		slices.SortFunc(us, func(x, y int32) int { return int(sym.col[x] - sym.col[y]) })
+		sym.uPtr = append(sym.uPtr, int32(len(sym.u)))
+		rowActive[bi] = false
+		for _, ls := range byCol[bj] {
+			i := sym.row[ls]
 			if !rowActive[i] {
 				continue
 			}
-			fv, ok := r[bj]
-			if !ok {
+			sym.l = append(sym.l, ls)
+			rs := byRow[i]
+			k := slices.Index(rs, ls)
+			rs[k] = rs[len(rs)-1]
+			rs = rs[:len(rs)-1]
+			for _, s := range rs {
+				mark[sym.col[s]] = s
+			}
+			d0 := len(sym.dst)
+			for _, s := range us {
+				c := sym.col[s]
+				t := mark[c]
+				if t < 0 { // fill
+					t = int32(len(a))
+					a = append(a, 0)
+					mag = append(mag, 0)
+					sym.row = append(sym.row, i)
+					sym.col = append(sym.col, c)
+					rs = append(rs, t)
+					byCol[c] = append(byCol[c], t)
+				}
+				sym.dst = append(sym.dst, t)
+			}
+			byRow[i] = rs
+			for _, s := range rs {
+				mark[sym.col[s]] = -1
+			}
+			fv := a[ls]
+			if fv == 0 {
+				continue
+			}
+			rowCount[i]--
+			mult := fv / piv
+			a[ls] = mult
+			for q, s := range us {
+				v := a[s]
+				if v == 0 {
+					continue
+				}
+				t := sym.dst[d0+q]
+				old := a[t]
+				nv := old - mult*v
+				if nv == 0 {
+					nv = 0
+				}
+				a[t] = nv
+				mag[t] = cmplx.Abs(nv)
+				if (old == 0) != (nv == 0) {
+					d := 1
+					if nv == 0 {
+						d = -1
+					}
+					rowCount[i] += d
+					colCount[sym.col[t]] += d
+				}
+			}
+		}
+		sym.lPtr = append(sym.lPtr, int32(len(sym.l)))
+	}
+	sym.sign = parity(sym.pivRow) * parity(sym.pivCol)
+	sym.index()
+	return sym, &LU{sym: sym, a: a}, nil
+}
+
+// bucket groups the slots by key (their row or column), each bucket
+// carved from one backing array with room for fill.
+func bucket(n int, key []int32) [][]int32 {
+	size := make([]int, n)
+	for _, i := range key {
+		size[i]++
+	}
+	backing := make([]int32, 0, 2*len(key)+4*n)
+	lists := make([][]int32, n)
+	for i, k := range size {
+		lo := len(backing)
+		backing = backing[:lo+2*k+4]
+		lists[i] = backing[lo:lo:len(backing)]
+	}
+	for s, i := range key {
+		lists[i] = append(lists[i], int32(s))
+	}
+	return lists
+}
+
+// index builds the row-wise slot lists used to scatter a Matrix.
+func (sym *Symbolic) index() {
+	sym.rowPtr = make([]int32, sym.n+1)
+	for _, i := range sym.row {
+		sym.rowPtr[i+1]++
+	}
+	for i := 0; i < sym.n; i++ {
+		sym.rowPtr[i+1] += sym.rowPtr[i]
+	}
+	next := slices.Clone(sym.rowPtr[:sym.n])
+	sym.byRow = make([]int32, len(sym.row))
+	sym.byRowCol = make([]int32, len(sym.row))
+	for s, i := range sym.row {
+		sym.byRow[next[i]] = int32(s)
+		sym.byRowCol[next[i]] = sym.col[s]
+		next[i]++
+	}
+}
+
+// replay is the numeric phase: it eliminates the slot values a in the
+// compiled order — the same per-entry recurrence as analyze, with exact
+// zeros skipped where the analysis would have had no entry — and
+// returns the factorization in ws's LU, or ErrPlanMiss when a planned
+// pivot is zero or fails the guardRatio test against its row.
+func (sym *Symbolic) replay(a []complex128, ws *Workspace) (*LU, error) {
+	d := 0
+	for k, ps := range sym.piv {
+		piv := a[ps]
+		if piv == 0 {
+			return nil, ErrPlanMiss
+		}
+		us := sym.u[sym.uPtr[k]:sym.uPtr[k+1]]
+		if guardFails(piv, us, a) {
+			return nil, ErrPlanMiss
+		}
+		for _, ls := range sym.l[sym.lPtr[k]:sym.lPtr[k+1]] {
+			ds := sym.dst[d : d+len(us)]
+			d += len(us)
+			fv := a[ls]
+			if fv == 0 {
 				continue
 			}
 			mult := fv / piv
-			stepMults = append(stepMults, multEntry{row: i, mult: mult})
-			delete(r, bj)
-			for j, v := range w.rows[bi] {
-				if !colActive[j] {
+			a[ls] = mult
+			for q, s := range us {
+				v := a[s]
+				if v == 0 {
 					continue
 				}
-				old, had := r[j]
-				nv := old - mult*v
+				t := ds[q]
+				nv := a[t] - mult*v
 				if nv == 0 {
-					if had {
-						delete(r, j)
-						colCount[j]--
-					}
-					continue
+					nv = 0
 				}
-				if !had {
-					colCount[j]++
-				}
-				r[j] = nv
+				a[t] = nv
 			}
 		}
-		f.mults = append(f.mults, stepMults)
 	}
-	if parity(f.pivRow)*parity(f.pivCol) < 0 {
-		f.detSign = -1
+	ws.lu = LU{sym: sym, a: a}
+	return &ws.lu, nil
+}
+
+// guardFails reports whether |piv| < guardRatio·max|row|, the row being
+// the pivot and its U slots. The bound max(|re|+|im|) ≥ max|v| settles
+// the common, far-from-failing case without a square root; only a pivot
+// within a factor of two of failing (or a non-finite row) takes the
+// exact test.
+func guardFails(piv complex128, us []int32, a []complex128) bool {
+	pa := cmplx.Abs(piv)
+	bound := pa
+	for _, s := range us {
+		v := a[s]
+		if m := math.Abs(real(v)) + math.Abs(imag(v)); !(m <= bound) {
+			bound = m
+		}
 	}
-	return f, nil
+	if pa >= 2*guardRatio*bound {
+		return false
+	}
+	rowMax := 0.0
+	if pa > rowMax {
+		rowMax = pa
+	}
+	for _, s := range us {
+		if v := a[s]; v != 0 {
+			if m := cmplx.Abs(v); m > rowMax {
+				rowMax = m
+			}
+		}
+	}
+	return pa < guardRatio*rowMax
+}
+
+// LU is a sparse factorization with full (row and column) pivoting,
+// P·A·Q = L·U: the compiled Symbolic plus the eliminated slot values
+// (U rows in place, multipliers in the L slots). Back-substitution
+// accumulates each U row in column order, so repeated factorizations of
+// the same matrix yield bit-identical Solve results, which the parallel
+// batched evaluation layer relies on.
+type LU struct {
+	sym *Symbolic
+	a   []complex128
 }
 
 // Det returns the determinant as an extended-range complex number: the
 // signed product of the pivots.
 func (f *LU) Det() xmath.XComplex {
-	det := xmath.FromComplex(complex(float64(f.detSign), 0))
-	for _, p := range f.pivVal {
-		det = det.MulComplex(p)
+	det := xmath.FromComplex(complex(float64(f.sym.sign), 0))
+	for _, s := range f.sym.piv {
+		det = det.MulComplex(f.a[s])
 	}
 	return det
 }
 
 // Solve solves A·x = b by replaying the elimination on the right-hand
-// side (forward pass) and back-substituting through the stored U rows.
+// side (forward pass) and back-substituting through the U rows.
 func (f *LU) Solve(b []complex128) ([]complex128, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("sparse: rhs length %d, want %d", len(b), f.n)
-	}
-	y := make([]complex128, f.n)
-	copy(y, b)
-	for k := range f.pivRow {
-		pv := y[f.pivRow[k]]
-		if pv == 0 {
-			continue
-		}
-		for _, me := range f.mults[k] {
-			y[me.row] -= me.mult * pv
-		}
-	}
-	x := make([]complex128, f.n)
-	for k := f.n - 1; k >= 0; k-- {
-		sum := y[f.pivRow[k]]
-		for _, e := range f.urows[k] {
-			if e.col == f.pivCol[k] {
-				continue
-			}
-			sum -= e.val * x[e.col]
-		}
-		x[f.pivCol[k]] = sum / f.pivVal[k]
-	}
-	return x, nil
+	x := make([]complex128, f.sym.n)
+	return x, f.solve(x, b, make([]complex128, f.sym.n))
 }
 
-// Plan caches a pivot order for repeated factorizations of matrices
-// sharing one sparsity pattern — the interpolation loop factors the same
-// circuit matrix at dozens of points per iteration, and the Markowitz
-// search is most of the cost. The zero value is an empty plan; the first
-// FactorPlanned fills it.
-type Plan struct {
-	pivRow, pivCol []int
-}
-
-// guardRatio is the stability fallback threshold for planned
-// factorizations: a planned pivot smaller than guardRatio × the largest
-// entry of its remaining row triggers a full Markowitz refactorization
-// (and a plan refresh).
-const guardRatio = 1e-10
-
-// FactorPlanned factors the matrix reusing the plan's pivot order when
-// available, falling back to (and refreshing the plan from) a full
-// Markowitz factorization on the first call or when a planned pivot goes
-// numerically bad. The receiver is not modified.
-func (m *Matrix) FactorPlanned(plan *Plan) (*LU, error) {
-	if plan == nil || len(plan.pivRow) != m.n {
-		return m.factorAndPlan(plan)
-	}
-	f, ok := m.tryPlanned(plan)
-	if !ok {
-		return m.factorAndPlan(plan)
-	}
-	return f, nil
-}
-
-func (m *Matrix) factorAndPlan(plan *Plan) (*LU, error) {
-	f, err := m.Factor(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		plan.pivRow = append(plan.pivRow[:0], f.pivRow...)
-		plan.pivCol = append(plan.pivCol[:0], f.pivCol...)
-	}
-	return f, nil
-}
-
-// tryPlanned eliminates in the recorded order; ok is false when a pivot
-// is missing or numerically unsafe.
-func (m *Matrix) tryPlanned(plan *Plan) (*LU, bool) {
-	return m.Clone().tryPlannedInPlace(plan)
-}
-
-// tryPlannedInPlace is tryPlanned on a disposable matrix: it consumes the
-// receiver's contents whether or not the replay succeeds.
-func (w *Matrix) tryPlannedInPlace(plan *Plan) (*LU, bool) {
-	n := w.n
-	f := &LU{
-		n:       n,
-		pivRow:  plan.pivRow,
-		pivCol:  plan.pivCol,
-		pivVal:  make([]complex128, 0, n),
-		urows:   make([][]urowEntry, 0, n),
-		mults:   make([][]multEntry, 0, n),
-		detSign: 1,
-	}
-	colActive := make([]bool, n)
-	rowActive := make([]bool, n)
-	for i := range colActive {
-		colActive[i] = true
-		rowActive[i] = true
-	}
-	for step := 0; step < n; step++ {
-		bi, bj := plan.pivRow[step], plan.pivCol[step]
-		piv, ok := w.rows[bi][bj]
-		if !ok {
-			return nil, false
-		}
-		// Stability guard: the pivot must not be vanishingly small next
-		// to its remaining row.
-		rowMax := 0.0
-		for j, v := range w.rows[bi] {
-			if colActive[j] {
-				if a := cmplx.Abs(v); a > rowMax {
-					rowMax = a
-				}
-			}
-		}
-		if cmplx.Abs(piv) < guardRatio*rowMax {
-			return nil, false
-		}
-		urow := sortedURow(w.rows[bi], colActive)
-		f.pivVal = append(f.pivVal, piv)
-		f.urows = append(f.urows, urow)
-		rowActive[bi] = false
-		colActive[bj] = false
-		var stepMults []multEntry
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			fv, ok := r[bj]
-			if !ok {
-				continue
-			}
-			mult := fv / piv
-			stepMults = append(stepMults, multEntry{row: i, mult: mult})
-			delete(r, bj)
-			for j, v := range w.rows[bi] {
-				if !colActive[j] {
-					continue
-				}
-				nv := r[j] - mult*v
-				if nv == 0 {
-					delete(r, j)
-					continue
-				}
-				r[j] = nv
-			}
-		}
-		f.mults = append(f.mults, stepMults)
-	}
-	if parity(f.pivRow)*parity(f.pivCol) < 0 {
-		f.detSign = -1
-	}
-	return f, true
-}
-
-// SharedPlan is a concurrency-safe pivot-order cache for repeated
-// factorizations of matrices sharing one sparsity pattern — the batched
-// point-evaluation layer factors the same circuit pattern at every
-// interpolation point of every frame of a generation run.
-//
-// Unlike Plan it is primed exactly once, by the first successful full
-// factorization, and never refreshed afterwards: later factorizations
-// replay the recorded order read-only and fall back to a private full
-// Markowitz factorization when a planned pivot is structurally absent or
-// numerically unsafe. Because the recorded order is immutable after
-// priming, the result for a given matrix is a pure function of the
-// matrix and the plan — independent of evaluation order and goroutine
-// scheduling — which is what makes serial and parallel batched runs
-// bit-identical.
-type SharedPlan struct {
-	mu     sync.Mutex
-	primed bool
-	plan   Plan
-}
-
-// Primed reports whether a pivot order has been recorded. Batch runners
-// use it to keep evaluating serially until the plan exists, so that the
-// point that primes the plan is the same in serial and parallel runs.
-func (sp *SharedPlan) Primed() bool {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.primed
-}
-
-// snapshot returns the recorded plan, if any. The returned slices are
-// shared read-only: replay never mutates them and priming happens once.
-func (sp *SharedPlan) snapshot() (Plan, bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.plan, sp.primed
-}
-
-// prime records the pivot order of f unless one is already recorded.
-func (sp *SharedPlan) prime(f *LU) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.primed {
-		return
-	}
-	sp.plan.pivRow = append([]int(nil), f.pivRow...)
-	sp.plan.pivCol = append([]int(nil), f.pivCol...)
-	sp.primed = true
-}
-
-// FactorShared factors the matrix under the shared plan: replay the
-// recorded order when primed (falling back to a full Markowitz
-// factorization for this matrix only when the replay fails), otherwise
-// full-factor and prime. The receiver is not modified. A nil plan means
-// a plain Factor.
-func (m *Matrix) FactorShared(sp *SharedPlan) (*LU, error) {
-	if sp == nil {
-		return m.Factor(DefaultThreshold)
-	}
-	if plan, ok := sp.snapshot(); ok {
-		if len(plan.pivRow) == m.n {
-			if f, ok2 := m.tryPlanned(&plan); ok2 {
-				return f, nil
-			}
-		}
-		return m.Factor(DefaultThreshold)
-	}
-	f, err := m.Factor(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	sp.prime(f)
-	return f, nil
-}
-
-// FactorSharedInPlace is FactorShared for a disposable scratch matrix: it
-// consumes the receiver's contents without cloning. When the planned
-// replay fails the original values are already destroyed, so it returns
-// ErrPlanMiss; the caller must re-assemble the matrix and retry with
-// FactorInPlace.
-func (m *Matrix) FactorSharedInPlace(sp *SharedPlan) (*LU, error) {
-	if sp == nil {
-		return m.FactorInPlace(DefaultThreshold)
-	}
-	if plan, ok := sp.snapshot(); ok {
-		if len(plan.pivRow) != m.n {
-			return m.FactorInPlace(DefaultThreshold)
-		}
-		if f, ok2 := m.tryPlannedInPlace(&plan); ok2 {
-			return f, nil
-		}
-		return nil, ErrPlanMiss
-	}
-	f, err := m.FactorInPlace(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	sp.prime(f)
-	return f, nil
-}
-
-// Workspace holds reusable factorization and solve storage for the
-// steady-state planned-replay path: one LU whose per-step slices retain
-// their capacity across points, the active-row/column flags, and the
-// forward-substitution vector. A Workspace is not safe for concurrent
-// use; the batched evaluation layer keeps one per worker. The LU
-// returned by FactorSharedInto aliases the workspace and is valid only
-// until the next factorization through the same workspace.
-type Workspace struct {
-	lu        LU
-	rowActive []bool
-	colActive []bool
-	fwd       []complex128 // forward-substitution scratch for SolveInto
-	seen      []bool       // permutation-parity scratch
-}
-
-// ensure sizes the workspace for an n×n factorization, growing storage
-// only when the dimension exceeds every previous call.
-func (ws *Workspace) ensure(n int) {
-	if cap(ws.lu.urows) < n {
-		ws.lu.urows = make([][]urowEntry, n)
-		ws.lu.mults = make([][]multEntry, n)
-		ws.lu.pivVal = make([]complex128, 0, n)
-		ws.rowActive = make([]bool, n)
-		ws.colActive = make([]bool, n)
-		ws.fwd = make([]complex128, n)
-		ws.seen = make([]bool, n)
-	}
-	ws.lu.urows = ws.lu.urows[:n]
-	ws.lu.mults = ws.lu.mults[:n]
-	ws.rowActive = ws.rowActive[:n]
-	ws.colActive = ws.colActive[:n]
-	ws.fwd = ws.fwd[:n]
-	ws.seen = ws.seen[:n]
-}
-
-// FactorSharedInto is FactorSharedInPlace reusing ws for the planned
-// replay: once the shared plan is primed, the steady-state replay
-// allocates nothing (the returned LU aliases ws). The cold paths —
-// priming and the post-ErrPlanMiss full factorization — still allocate a
-// fresh LU, exactly as FactorSharedInPlace does. Like
-// FactorSharedInPlace it consumes the receiver's contents, and a failed
-// replay returns ErrPlanMiss with the matrix destroyed.
-func (m *Matrix) FactorSharedInto(sp *SharedPlan, ws *Workspace) (*LU, error) {
-	if sp == nil || ws == nil {
-		return m.FactorSharedInPlace(sp)
-	}
-	if plan, ok := sp.snapshot(); ok {
-		if len(plan.pivRow) != m.n {
-			return m.FactorInPlace(DefaultThreshold)
-		}
-		if f, ok2 := m.tryPlannedInto(&plan, ws); ok2 {
-			return f, nil
-		}
-		return nil, ErrPlanMiss
-	}
-	f, err := m.FactorInPlace(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	sp.prime(f)
-	return f, nil
-}
-
-// tryPlannedInto is tryPlannedInPlace writing the factorization into the
-// workspace's reusable LU. The elimination is statement-for-statement
-// the same recurrence, so the produced pivots, U rows and multipliers
-// are bit-identical to the allocating path.
-func (w *Matrix) tryPlannedInto(plan *Plan, ws *Workspace) (*LU, bool) {
-	n := w.n
-	ws.ensure(n)
-	f := &ws.lu
-	f.n = n
-	f.pivRow = plan.pivRow
-	f.pivCol = plan.pivCol
-	f.pivVal = f.pivVal[:0]
-	f.detSign = 1
-	colActive := ws.colActive
-	rowActive := ws.rowActive
-	for i := range colActive {
-		colActive[i] = true
-		rowActive[i] = true
-	}
-	for step := 0; step < n; step++ {
-		bi, bj := plan.pivRow[step], plan.pivCol[step]
-		piv, ok := w.rows[bi][bj]
-		if !ok {
-			return nil, false
-		}
-		rowMax := 0.0
-		for j, v := range w.rows[bi] {
-			if colActive[j] {
-				if a := cmplx.Abs(v); a > rowMax {
-					rowMax = a
-				}
-			}
-		}
-		if cmplx.Abs(piv) < guardRatio*rowMax {
-			return nil, false
-		}
-		f.urows[step] = sortedURowInto(f.urows[step], w.rows[bi], colActive)
-		f.pivVal = append(f.pivVal, piv)
-		rowActive[bi] = false
-		colActive[bj] = false
-		stepMults := f.mults[step][:0]
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			fv, ok := r[bj]
-			if !ok {
-				continue
-			}
-			mult := fv / piv
-			stepMults = append(stepMults, multEntry{row: i, mult: mult})
-			delete(r, bj)
-			for j, v := range w.rows[bi] {
-				if !colActive[j] {
-					continue
-				}
-				nv := r[j] - mult*v
-				if nv == 0 {
-					delete(r, j)
-					continue
-				}
-				r[j] = nv
-			}
-		}
-		f.mults[step] = stepMults
-	}
-	if parityInto(f.pivRow, ws.seen)*parityInto(f.pivCol, ws.seen) < 0 {
-		f.detSign = -1
-	}
-	return f, true
-}
-
-// SolveInto solves A·x = b into dst without allocating, using ws.fwd as
-// the forward-substitution vector. dst and b may be the same slice; ws
-// must be the workspace sized by the factorization (any workspace whose
-// ensure dimension covers f.n works).
+// SolveInto solves A·x = b into dst without allocating once ws has
+// grown to the dimension. dst and b may be the same slice.
 func (f *LU) SolveInto(dst, b []complex128, ws *Workspace) error {
-	if len(b) != f.n || len(dst) != f.n {
-		return fmt.Errorf("sparse: rhs/dst length %d/%d, want %d", len(b), len(dst), f.n)
+	return f.solve(dst, b, grow(&ws.fwd, f.sym.n))
+}
+
+func (f *LU) solve(x, b, y []complex128) error {
+	sym, a := f.sym, f.a
+	if len(b) != sym.n || len(x) != sym.n {
+		return fmt.Errorf("sparse: rhs/dst length %d/%d, want %d", len(b), len(x), sym.n)
 	}
-	ws.ensure(f.n)
-	y := ws.fwd
 	copy(y, b)
-	for k := range f.pivRow {
-		pv := y[f.pivRow[k]]
+	for k, r := range sym.pivRow {
+		pv := y[r]
 		if pv == 0 {
 			continue
 		}
-		for _, me := range f.mults[k] {
-			y[me.row] -= me.mult * pv
+		for _, ls := range sym.l[sym.lPtr[k]:sym.lPtr[k+1]] {
+			if m := a[ls]; m != 0 {
+				y[sym.row[ls]] -= m * pv
+			}
 		}
 	}
-	for k := f.n - 1; k >= 0; k-- {
-		sum := y[f.pivRow[k]]
-		for _, e := range f.urows[k] {
-			if e.col == f.pivCol[k] {
-				continue
+	for k := sym.n - 1; k >= 0; k-- {
+		sum := y[sym.pivRow[k]]
+		for _, s := range sym.u[sym.uPtr[k]:sym.uPtr[k+1]] {
+			if v := a[s]; v != 0 {
+				sum -= v * x[sym.col[s]]
 			}
-			sum -= e.val * dst[e.col]
 		}
-		dst[f.pivCol[k]] = sum / f.pivVal[k]
+		x[sym.pivCol[k]] = sum / a[sym.piv[k]]
 	}
 	return nil
 }
@@ -815,17 +786,8 @@ func (f *LU) SolveInto(dst, b []complex128, ws *Workspace) error {
 // parity returns the sign (+1/−1) of the permutation given as a sequence
 // of images, via cycle counting.
 func parity(perm []int) int {
-	return parityInto(perm, make([]bool, len(perm)))
-}
-
-// parityInto is parity with caller-provided cycle-marking scratch (len ≥
-// len(perm)); it clears the scratch itself.
-func parityInto(perm []int, seen []bool) int {
 	n := len(perm)
-	seen = seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
+	seen := make([]bool, n)
 	sign := 1
 	for i := 0; i < n; i++ {
 		if seen[i] {

@@ -102,8 +102,8 @@ func TestDetSingularIsZero(t *testing.T) {
 	if got := m.Det(); !got.Zero() {
 		t.Errorf("det = %v, want 0", got)
 	}
-	if _, err := m.Factor(DefaultThreshold); err != ErrSingular {
-		t.Errorf("Factor error = %v, want ErrSingular", err)
+	if _, err := m.FactorInPlace(DefaultThreshold); err != ErrSingular {
+		t.Errorf("FactorInPlace error = %v, want ErrSingular", err)
 	}
 }
 
@@ -222,31 +222,49 @@ func TestParity(t *testing.T) {
 	}
 }
 
+// patternOf returns m's nonzero positions as a Pattern plus the values
+// to stamp, one per slot, in row-major order.
+func patternOf(m *Matrix) (*Pattern, []complex128) {
+	var rows, cols []int
+	var vals []complex128
+	for i := 0; i < m.N(); i++ {
+		for j := 0; j < m.N(); j++ {
+			if v := m.At(i, j); v != 0 {
+				rows, cols, vals = append(rows, i), append(cols, j), append(vals, v)
+			}
+		}
+	}
+	p, _ := NewPattern(m.N(), rows, cols)
+	return p, vals
+}
+
 func TestFactorPlannedMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	m := randomSparse(rng, 12, 0.25)
-	var plan Plan
-	// First call fills the plan from a full factorization.
-	f1, err := m.FactorPlanned(&plan)
+	p, vals := patternOf(m)
+	var ws Workspace
+	// The first call primes the plan from a full factorization.
+	f1, err := p.Factor(vals, &ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.Det().Complex128()
-	if got := f1.Det().Complex128(); cmplx.Abs(got-want) > 1e-9*(1+cmplx.Abs(want)) {
-		t.Errorf("first planned det %v, want %v", got, want)
+	if !p.Primed() {
+		t.Fatal("pattern not primed by the first factorization")
 	}
-	// Same pattern, new values: the planned path must agree with the
-	// full path, and Solve must work.
+	if got, want := f1.Det(), m.Det(); got != want {
+		t.Errorf("priming det %v, want %v", got, want)
+	}
+	// Same pattern, new values: the replay must agree with a full
+	// factorization, and Solve must work.
 	for trial := 0; trial < 5; trial++ {
-		m2 := m.Clone()
-		for i := 0; i < 12; i++ {
-			for j := 0; j < 12; j++ {
-				if v := m.At(i, j); v != 0 {
-					m2.Set(i, j, v*complex(1+0.3*rng.NormFloat64(), 0.2*rng.NormFloat64()))
-				}
-			}
+		m2 := New(12)
+		b := ws.Stamps(p)
+		for s := range b {
+			v := vals[s] * complex(1+0.3*rng.NormFloat64(), 0.2*rng.NormFloat64())
+			b[s] = v
+			m2.Set(int(p.row[s]), int(p.col[s]), v)
 		}
-		f2, err := m2.FactorPlanned(&plan)
+		f2, err := p.Factor(b, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +272,11 @@ func TestFactorPlannedMatchesFull(t *testing.T) {
 		if got := f2.Det().Complex128(); cmplx.Abs(got-want) > 1e-8*(1+cmplx.Abs(want)) {
 			t.Errorf("trial %d: planned det %v, want %v", trial, got, want)
 		}
-		b := make([]complex128, 12)
-		for i := range b {
-			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		rhs := make([]complex128, 12)
+		for i := range rhs {
+			rhs[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		x, err := f2.Solve(b)
+		x, err := f2.Solve(rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,40 +285,45 @@ func TestFactorPlannedMatchesFull(t *testing.T) {
 			for j := 0; j < 12; j++ {
 				sum += m2.At(i, j) * x[j]
 			}
-			if cmplx.Abs(sum-b[i]) > 1e-8 {
-				t.Errorf("trial %d: residual[%d] = %v", trial, i, sum-b[i])
+			if cmplx.Abs(sum-rhs[i]) > 1e-8 {
+				t.Errorf("trial %d: residual[%d] = %v", trial, i, sum-rhs[i])
 			}
 		}
 	}
 }
 
 func TestFactorPlannedFallsBackOnBadPivot(t *testing.T) {
-	// Plan built on a benign matrix; then the planned pivot entry is
-	// zeroed out — the fallback must still produce the right result.
-	m := New(3)
+	// Plan built on a benign matrix; then the planned first pivot is
+	// zeroed out — the replay misses and the fallback must produce the
+	// full factorization's result, bit for bit.
+	m := New(2)
 	m.Set(0, 0, 4)
 	m.Set(1, 1, 5)
-	m.Set(2, 2, 6)
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
-	var plan Plan
-	if _, err := m.FactorPlanned(&plan); err != nil {
+	p, vals := patternOf(m)
+	var ws Workspace
+	if _, err := p.Factor(vals, &ws); err != nil {
 		t.Fatal(err)
 	}
+	sym := p.plan.sym.Load()
+	b := ws.Stamps(p)
+	copy(b, vals)
+	b[sym.piv[0]] = 0
 	m2 := m.Clone()
-	// Make whichever diagonal the plan picked first vanish structurally.
-	m2.Set(plan.pivRow[0], plan.pivCol[0], 0)
-	want := m2.Det().Complex128()
-	f, err := m2.FactorPlanned(&plan)
-	if err != nil {
-		// Singular after the edit is acceptable only if Det agrees.
-		if cmplx.Abs(want) > 1e-12 {
-			t.Fatalf("fallback failed: %v (det %v)", err, want)
-		}
-		return
+	m2.Set(sym.pivRow[0], sym.pivCol[0], 0)
+	if _, err := replayStamps(sym, b); err != ErrPlanMiss {
+		t.Fatalf("replay with a vanished pivot: err = %v, want ErrPlanMiss", err)
 	}
-	if got := f.Det().Complex128(); cmplx.Abs(got-want) > 1e-9*(1+cmplx.Abs(want)) {
+	f, err := p.Factor(b, &ws)
+	if err != nil {
+		t.Fatalf("fallback failed: %v", err)
+	}
+	if got, want := f.Det(), m2.Det(); got != want {
 		t.Errorf("fallback det %v, want %v", got, want)
+	}
+	if p.plan.sym.Load() != sym {
+		t.Error("the miss replaced the shared plan")
 	}
 }
 

@@ -216,17 +216,19 @@ func FuzzLUReplay(f *testing.F) {
 		}
 
 		// An entry outside the compiled pattern misses.
+		var sp SharedPlan
+		if _, err := m0.FactorSharedInto(&sp, &ws); err != nil {
+			t.Fatal(err)
+		}
 		inPattern := make(map[[2]int32]bool)
-		for s := range sym.row {
-			inPattern[[2]int32{sym.row[s], sym.col[s]}] = true
+		for s, i := range sp.sym.Load().row {
+			inPattern[[2]int32{i, sp.sym.Load().col[s]}] = true
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if inPattern[[2]int32{int32(i), int32(j)}] {
 					continue
 				}
-				var sp SharedPlan
-				sp.sym.Store(sym)
 				m4 := m0.Clone()
 				m4.Set(i, j, 1)
 				if _, err := m4.FactorSharedInto(&sp, &ws); err != ErrPlanMiss {

@@ -163,19 +163,6 @@ func (m *Matrix) Minor(rows, cols []int) *Matrix {
 	return out
 }
 
-// String renders the nonzero pattern for debugging.
-func (m *Matrix) String() string {
-	s := fmt.Sprintf("sparse %d×%d, %d nnz\n", m.n, m.n, m.NNZ())
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if v, ok := m.rows[i][j]; ok {
-				s += fmt.Sprintf("  (%d,%d) = %v\n", i, j, v)
-			}
-		}
-	}
-	return s
-}
-
 // Det computes the determinant by Markowitz-pivoted elimination with the
 // default stability threshold. The receiver is not modified. A singular
 // matrix yields exactly zero.
@@ -231,6 +218,7 @@ func (m *Matrix) FactorSharedInto(sp *SharedPlan, ws *Workspace) (*LU, error) {
 	if sym == nil {
 		f, err := m.FactorInPlace(DefaultThreshold)
 		if err == nil {
+			f.sym.index()
 			sp.sym.CompareAndSwap(nil, f.sym)
 		}
 		return f, err
@@ -417,7 +405,10 @@ func grow(buf *[]complex128, n int) []complex128 {
 type Symbolic struct {
 	n        int
 	row, col []int32 // position of every slot
-	rowPtr   []int32 // slots of row i: byRow[rowPtr[i]:rowPtr[i+1]], at columns byRowCol[…]
+	// rowPtr, byRow and byRowCol list each row's slots and their columns
+	// — slots of row i are byRow[rowPtr[i]:rowPtr[i+1]] — for scattering
+	// a Matrix; only plans primed through FactorSharedInto build them.
+	rowPtr   []int32
 	byRow    []int32
 	byRowCol []int32
 	pivRow   []int
@@ -446,18 +437,19 @@ type Symbolic struct {
 // the factorization of b.
 func analyze(n int, rows, cols []int32, b []complex128, threshold float64) (*Symbolic, *LU, error) {
 	ns := len(b)
+	room := ns + ns/2 + n // stamps plus typical fill; append grows past it
 	sym := &Symbolic{
 		n:      n,
-		row:    append(make([]int32, 0, 2*ns), rows...),
-		col:    append(make([]int32, 0, 2*ns), cols...),
+		row:    append(make([]int32, 0, room), rows...),
+		col:    append(make([]int32, 0, room), cols...),
 		pivRow: make([]int, 0, n),
 		pivCol: make([]int, 0, n),
 		piv:    make([]int32, 0, n),
 		uPtr:   append(make([]int32, 0, n+1), 0),
 		lPtr:   append(make([]int32, 0, n+1), 0),
 	}
-	a := append(make([]complex128, 0, 2*ns), b...)
-	mag := make([]float64, ns, 2*ns) // |a[s]|, kept current for the pivot search
+	a := append(make([]complex128, 0, room), b...)
+	mag := make([]float64, ns, room) // |a[s]|, kept current for the pivot search
 	rowCount := make([]int, n)       // nonzeros per active row over active columns
 	colCount := make([]int, n)       // nonzeros per active column over active rows
 	for s, v := range a {
@@ -603,7 +595,6 @@ func analyze(n int, rows, cols []int32, b []complex128, threshold float64) (*Sym
 		sym.lPtr = append(sym.lPtr, int32(len(sym.l)))
 	}
 	sym.sign = parity(sym.pivRow) * parity(sym.pivCol)
-	sym.index()
 	return sym, &LU{sym: sym, a: a}, nil
 }
 

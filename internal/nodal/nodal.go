@@ -110,7 +110,7 @@ func mergedRowsProjection(n, a, b, c int) projection {
 // buffers and RHS vectors instead of allocating per point.
 type pattern struct {
 	proj  projection
-	lu    *sparse.Pattern
+	sp    *sparse.Pattern
 	gSlot []int32 // slot of each conductance stamp, −1 when projected out
 	cSlot []int32 // slot of each capacitance stamp, −1 when projected out
 
@@ -130,8 +130,8 @@ func (sys *System) newPattern(pr projection) *pattern {
 			cols = append(cols, pr.col[st.j])
 		}
 	}
-	lu, slot := sparse.NewPattern(pr.dim, rows, cols)
-	return &pattern{proj: pr, lu: lu, gSlot: slot[:ng], cSlot: slot[ng:]}
+	sp, slot := sparse.NewPattern(pr.dim, rows, cols)
+	return &pattern{proj: pr, sp: sp, gSlot: slot[:ng], cSlot: slot[ng:]}
 }
 
 // evalScratch is the per-worker reusable evaluation state of one
@@ -182,7 +182,7 @@ func (pat *pattern) put(sc *evalScratch) {
 // plan itself is never mutated, so the value at a point never depends on
 // which points were evaluated before it (beyond the one-time priming).
 func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	b := sc.ws.Stamps(pat.lu)
+	b := sc.ws.Stamps(pat.sp)
 	for k, st := range sys.gStamps {
 		if t := pat.gSlot[k]; t >= 0 {
 			sparse.Add(b, t, complex(st.v*gscale, 0))
@@ -194,7 +194,7 @@ func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale,
 			sparse.Add(b, t, sf*complex(st.v, 0))
 		}
 	}
-	return pat.lu.Factor(b, &sc.ws)
+	return pat.sp.Factor(b, &sc.ws)
 }
 
 // detAt evaluates the pattern's signed determinant at one point.
@@ -314,7 +314,7 @@ func (sys *System) evaluator(name string, m int, key [2]int, mk func() projectio
 					pat.put(sc)
 				}
 			}()
-			return interp.RunBatch(ctx, points, workers, pat.lu.Primed, func() func(complex128) xmath.XComplex {
+			return interp.RunBatch(ctx, points, workers, pat.sp.Primed, func() func(complex128) xmath.XComplex {
 				sc := pat.get()
 				mu.Lock()
 				acquired = append(acquired, sc)
@@ -358,7 +358,7 @@ func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex
 		}
 		return pick(lu.Det(), sc.sol)
 	}
-	return evalBoth, pat.lu.Primed
+	return evalBoth, pat.sp.Primed
 }
 
 // cramerValue returns det·x[j] = C_in,j, zero when the solve produced a

@@ -264,6 +264,59 @@ func RunBatchInto(ctx context.Context, values []xmath.XComplex, points []complex
 	return values
 }
 
+// FreeList is a stack of per-worker evaluation states whose zero value
+// is ready to use: evaluators draw one per serial point or per batch
+// worker and return it afterwards, so the steady state reuses their
+// buffers. It is a mutex-guarded stack rather than a sync.Pool on
+// purpose: a sync.Pool may be emptied by any GC cycle, which would make
+// the steady state's allocation count nondeterministic, while the stack
+// guarantees zero allocations once one state per concurrent evaluator
+// exists.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get pops a state, or returns a new zero one when the list is empty.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// Put returns a state to the list.
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
+}
+
+// RunPooled is RunBatch with one state from l per worker, handed to
+// eval with each point and returned to l once the batch has drained.
+func RunPooled[T any](ctx context.Context, points []complex128, workers int, ready func() bool, l *FreeList[T], eval func(x *T, s complex128) xmath.XComplex) []xmath.XComplex {
+	var mu sync.Mutex
+	var held []*T
+	// RunBatch returns only after every worker goroutine has exited, so
+	// the states are idle when released.
+	defer func() {
+		for _, x := range held {
+			l.Put(x)
+		}
+	}()
+	return RunBatch(ctx, points, workers, ready, func() func(complex128) xmath.XComplex {
+		x := l.Get()
+		mu.Lock()
+		held = append(held, x)
+		mu.Unlock()
+		return func(s complex128) xmath.XComplex { return eval(x, s) }
+	})
+}
+
 // FromPoly wraps an explicit polynomial as an Evaluator with homogeneity
 // degree m — the synthetic form used by tests and the SDG example: the
 // "circuit" is the polynomial itself, scaled per eq. (11).

@@ -3,8 +3,8 @@ package mna
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/cmplx"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/interp"
@@ -31,71 +31,43 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// evalScratch is the reusable per-worker evaluation state of the one
-// MNA sparsity pattern: the factorization workspace (flat stamp and
-// slot-value buffers) and the RHS and solution vectors of the transfer
-// solve.
-type evalScratch struct {
-	ws  sparse.Workspace
-	rhs []complex128
-	sol []complex128
-}
-
-// getScratch pops a scratch from the system's free list, building one
-// sized for the MNA dimension when the list is empty.
-func (sys *System) getScratch() *evalScratch {
-	sys.scratchMu.Lock()
-	if n := len(sys.free); n > 0 {
-		sc := sys.free[n-1]
-		sys.free = sys.free[:n-1]
-		sys.scratchMu.Unlock()
-		return sc
-	}
-	sys.scratchMu.Unlock()
-	return &evalScratch{
-		rhs: make([]complex128, sys.dim),
-		sol: make([]complex128, sys.dim),
-	}
-}
-
-// putScratch returns a scratch to the free list.
-func (sys *System) putScratch(sc *evalScratch) {
-	sys.scratchMu.Lock()
-	sys.free = append(sys.free, sc)
-	sys.scratchMu.Unlock()
-}
-
 // factorAt stamps Y_MNA — conductance-dimension entries multiplied by
 // gscale, frequency-proportional entries by s·fscale, structural entries
-// untouched, in a fixed stamp order — into sc's slots and factors it
+// untouched, in a fixed stamp order — into ws's slots and factors it
 // under the system's shared plan (primed once per System by the first
 // successful factorization; replayed read-only afterwards — across
 // points, frames, and both the det and transfer evaluators, which share
-// the one MNA sparsity pattern). Once the plan is primed the replay
-// allocates nothing. A plan miss runs a private full factorization
-// without touching the plan.
-func (sys *System) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	b := sc.ws.Stamps(sys.pat)
-	slots := sys.slots
-	for _, st := range sys.gDim {
-		sparse.Add(b, slots[0], complex(st.v*gscale, 0))
-		slots = slots[1:]
-	}
-	for _, st := range sys.structural {
-		sparse.Add(b, slots[0], complex(st.v, 0))
-		slots = slots[1:]
+// the one MNA sparsity pattern). The conductance and structural stamps
+// are constant across a frame: ws keeps them per (System, gscale), so
+// within a frame only the frequency-proportional stamps are added. Once
+// the plan is primed the replay allocates nothing. A plan miss runs a
+// private full factorization without touching the plan.
+func (sys *System) factorAt(ws *sparse.Workspace, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	b, kept := ws.Prestamps(sys.pat, sys, math.Float64bits(gscale))
+	slots := sys.slots[len(sys.gDim)+len(sys.structural):]
+	if !kept {
+		slots = sys.slots
+		for _, st := range sys.gDim {
+			sparse.Add(b, slots[0], complex(st.v*gscale, 0))
+			slots = slots[1:]
+		}
+		for _, st := range sys.structural {
+			sparse.Add(b, slots[0], complex(st.v, 0))
+			slots = slots[1:]
+		}
+		ws.KeepPrestamps()
 	}
 	sf := s * complex(fscale, 0)
 	for _, st := range sys.sProp {
 		sparse.Add(b, slots[0], sf*complex(st.v, 0))
 		slots = slots[1:]
 	}
-	return sys.pat.Factor(b, &sc.ws)
+	return sys.pat.Factor(b, ws)
 }
 
 // detAt evaluates D(s) = det Y_MNA(s), zero when singular.
-func (sys *System) detAt(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-	lu, err := sys.factorAt(sc, s, fscale, gscale)
+func (sys *System) detAt(ws *sparse.Workspace, s complex128, fscale, gscale float64) xmath.XComplex {
+	lu, err := sys.factorAt(ws, s, fscale, gscale)
 	if err != nil {
 		return xmath.XComplex{}
 	}
@@ -104,62 +76,51 @@ func (sys *System) detAt(sc *evalScratch, s complex128, fscale, gscale float64) 
 
 // numAt evaluates N(s) = X_out(s)·det Y_MNA(s) per eqs. (8)–(10), with
 // one factorization serving both the determinant and the solve.
-func (sys *System) numAt(sc *evalScratch, idx int, s complex128, fscale, gscale float64) xmath.XComplex {
-	lu, err := sys.factorAt(sc, s, fscale, gscale)
+func (sys *System) numAt(ws *sparse.Workspace, idx int, s complex128, fscale, gscale float64) xmath.XComplex {
+	lu, err := sys.factorAt(ws, s, fscale, gscale)
 	if err != nil {
 		return xmath.XComplex{} // structurally singular: N ≡ 0 here
 	}
-	b := sc.rhs
-	for i := range b {
-		b[i] = 0
-	}
-	for i, v := range sys.rhs {
-		b[i] = complex(v, 0)
-	}
-	if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
+	x, err := sys.solveSources(lu, ws)
+	if err != nil {
 		return xmath.XComplex{}
 	}
-	x := sc.sol
 	if cmplx.IsNaN(x[idx]) || cmplx.IsInf(x[idx]) {
 		return xmath.XComplex{}
 	}
 	return lu.Det().MulComplex(x[idx])
 }
 
-// evaluator wraps a per-point function of (scratch, s, fscale, gscale)
-// as an interp.Evaluator: the serial Eval draws its scratch from the
-// system pool per point (allocation-free in the steady state), and
-// EvalBatch fans out over per-worker pooled scratches — returned when
-// the batch drains — after serially priming the shared pivot plan.
-func (sys *System) evaluator(name string, bound int, at func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex) interp.Evaluator {
+// solveSources solves Y_MNA·x = E, the independent sources at their AC
+// values, into ws's solution vector.
+func (sys *System) solveSources(lu *sparse.LU, ws *sparse.Workspace) ([]complex128, error) {
+	b, x := ws.SolveVectors(sys.dim)
+	for i, v := range sys.rhs {
+		b[i] = complex(v, 0)
+	}
+	return x, lu.SolveInto(x, b, ws)
+}
+
+// evaluator wraps a per-point function of (workspace, s, fscale,
+// gscale) as an interp.Evaluator: the serial Eval draws its workspace
+// from the system's free list per point (allocation-free in the steady
+// state), and EvalBatch fans out over per-worker pooled workspaces —
+// returned when the batch drains — after serially priming the shared
+// pivot plan.
+func (sys *System) evaluator(name string, bound int, at func(ws *sparse.Workspace, s complex128, fscale, gscale float64) xmath.XComplex) interp.Evaluator {
 	return interp.Evaluator{
 		Name:       name,
 		M:          0,
 		OrderBound: bound,
 		Eval: func(s complex128, fscale, gscale float64) xmath.XComplex {
-			sc := sys.getScratch()
-			v := at(sc, s, fscale, gscale)
-			sys.putScratch(sc)
+			ws := sys.free.Get()
+			v := at(ws, s, fscale, gscale)
+			sys.free.Put(ws)
 			return v
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
-			var mu sync.Mutex
-			var acquired []*evalScratch
-			// RunBatch returns only after every worker goroutine has
-			// exited, so the scratches are idle when released.
-			defer func() {
-				for _, sc := range acquired {
-					sys.putScratch(sc)
-				}
-			}()
-			return interp.RunBatch(ctx, points, workers, sys.pat.Primed, func() func(complex128) xmath.XComplex {
-				sc := sys.getScratch()
-				mu.Lock()
-				acquired = append(acquired, sc)
-				mu.Unlock()
-				return func(s complex128) xmath.XComplex {
-					return at(sc, s, fscale, gscale)
-				}
+			return interp.RunPooled(ctx, points, workers, sys.pat.Primed, &sys.free, func(ws *sparse.Workspace, s complex128) xmath.XComplex {
+				return at(ws, s, fscale, gscale)
 			})
 		},
 	}
@@ -209,8 +170,8 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		return nil, fmt.Errorf("mna: no independent source with nonzero AC value")
 	}
 	bound := sys.OrderBound()
-	num := sys.evaluator("numerator", bound, func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-		return sys.numAt(sc, idx, s, fscale, gscale)
+	num := sys.evaluator("numerator", bound, func(ws *sparse.Workspace, s complex128, fscale, gscale float64) xmath.XComplex {
+		return sys.numAt(ws, idx, s, fscale, gscale)
 	})
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/source", out),
@@ -221,24 +182,17 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 	// factorization that gives D = det Y_MNA, so EvalBoth is the numAt
 	// computation with the determinant reported alongside.
 	tf.EvalBoth = func(s complex128, fscale, gscale float64) (n, d xmath.XComplex) {
-		sc := sys.getScratch()
-		defer sys.putScratch(sc)
-		lu, err := sys.factorAt(sc, s, fscale, gscale)
+		ws := sys.free.Get()
+		defer sys.free.Put(ws)
+		lu, err := sys.factorAt(ws, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
 		det := lu.Det()
-		b := sc.rhs
-		for i := range b {
-			b[i] = 0
-		}
-		for i, v := range sys.rhs {
-			b[i] = complex(v, 0)
-		}
-		if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
+		x, err := sys.solveSources(lu, ws)
+		if err != nil {
 			return xmath.XComplex{}, det
 		}
-		x := sc.sol
 		if cmplx.IsNaN(x[idx]) || cmplx.IsInf(x[idx]) {
 			return xmath.XComplex{}, det
 		}

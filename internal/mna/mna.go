@@ -12,9 +12,9 @@ package mna
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/circuit"
+	"repro/internal/interp"
 	"repro/internal/sparse"
 )
 
@@ -54,13 +54,9 @@ type System struct {
 	pat   *sparse.Pattern
 	slots []int32
 
-	// scratchMu guards free, the evaluation-scratch free list shared by
-	// every evaluator of the system (they all factor the one MNA
-	// pattern). A mutex-guarded stack, not a sync.Pool: steady-state
-	// evaluation must allocate deterministically (zero times), and a
-	// sync.Pool may be emptied by any GC cycle.
-	scratchMu sync.Mutex
-	free      []*evalScratch
+	// free is the workspace free list shared by every evaluator of the
+	// system (they all factor the one MNA pattern).
+	free interp.FreeList[sparse.Workspace]
 }
 
 // AdoptPlan shares the donor system's pivot-order plan with sys and

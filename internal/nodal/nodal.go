@@ -105,17 +105,15 @@ func mergedRowsProjection(n, a, b, c int) projection {
 // in: each stamp's value slot, and the shared plan compiled by the first
 // successful factorization anywhere in a run and replayed read-only at
 // every later point — across all points of a frame and all frames of a
-// Generate run. The pattern also owns the free list of evaluation
-// scratches for its dimension, so steady-state evaluation reuses slot
+// Generate run. The pattern also owns the free list of factorization
+// workspaces for its dimension, so steady-state evaluation reuses slot
 // buffers and RHS vectors instead of allocating per point.
 type pattern struct {
 	proj  projection
 	sp    *sparse.Pattern
 	gSlot []int32 // slot of each conductance stamp, −1 when projected out
 	cSlot []int32 // slot of each capacitance stamp, −1 when projected out
-
-	scratchMu sync.Mutex
-	free      []*evalScratch
+	free  interp.FreeList[sparse.Workspace]
 }
 
 // newPattern projects the system's stamp positions through pr and
@@ -134,59 +132,26 @@ func (sys *System) newPattern(pr projection) *pattern {
 	return &pattern{proj: pr, sp: sp, gSlot: slot[:ng], cSlot: slot[ng:]}
 }
 
-// evalScratch is the per-worker reusable evaluation state of one
-// pattern: the factorization workspace (flat stamp and slot-value
-// buffers) and the Cramer RHS/solution vectors, all sized for the
-// pattern's dimension.
-type evalScratch struct {
-	ws  sparse.Workspace
-	rhs []complex128
-	sol []complex128
-}
-
-// get pops a scratch from the pattern's free list, building one sized
-// for the pattern when the list is empty. The list is a mutex-guarded
-// stack rather than a sync.Pool on purpose: a sync.Pool may be emptied
-// by any GC cycle, which would make the steady state's allocation count
-// nondeterministic, while the stack guarantees zero allocations once one
-// scratch per concurrent evaluator exists.
-func (pat *pattern) get() *evalScratch {
-	pat.scratchMu.Lock()
-	if n := len(pat.free); n > 0 {
-		sc := pat.free[n-1]
-		pat.free = pat.free[:n-1]
-		pat.scratchMu.Unlock()
-		return sc
-	}
-	pat.scratchMu.Unlock()
-	dim := pat.proj.dim
-	return &evalScratch{
-		rhs: make([]complex128, dim),
-		sol: make([]complex128, dim),
-	}
-}
-
-// put returns a scratch to the free list.
-func (pat *pattern) put(sc *evalScratch) {
-	pat.scratchMu.Lock()
-	pat.free = append(pat.free, sc)
-	pat.scratchMu.Unlock()
-}
-
-// factorAt stamps the projected scaled matrix into sc's slots — in the
+// factorAt stamps the projected scaled matrix into ws's slots — in the
 // fixed stamp order and with the arithmetic of MatrixAt, so the values
 // are bitwise those of the assembled matrix — and factors it under the
-// pattern's shared plan. Once the plan is primed the whole evaluation
-// allocates nothing. A plan miss (the compiled pivot order does not fit
-// this matrix's values) falls back to a private full factorization; the
-// plan itself is never mutated, so the value at a point never depends on
-// which points were evaluated before it (beyond the one-time priming).
-func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	b := sc.ws.Stamps(pat.sp)
-	for k, st := range sys.gStamps {
-		if t := pat.gSlot[k]; t >= 0 {
-			sparse.Add(b, t, complex(st.v*gscale, 0))
+// pattern's shared plan. The conductance stamps are constant across a
+// frame: ws keeps them per (System, gscale), so within a frame only the
+// capacitance stamps are added. Once the plan is primed the whole
+// evaluation allocates nothing. A plan miss (the compiled pivot order
+// does not fit this matrix's values) falls back to a private full
+// factorization; the plan itself is never mutated, so the value at a
+// point never depends on which points were evaluated before it (beyond
+// the one-time priming).
+func (sys *System) factorAt(pat *pattern, ws *sparse.Workspace, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	b, kept := ws.Prestamps(pat.sp, sys, math.Float64bits(gscale))
+	if !kept {
+		for k, st := range sys.gStamps {
+			if t := pat.gSlot[k]; t >= 0 {
+				sparse.Add(b, t, complex(st.v*gscale, 0))
+			}
 		}
+		ws.KeepPrestamps()
 	}
 	sf := s * complex(fscale, 0)
 	for k, st := range sys.cStamps {
@@ -194,12 +159,12 @@ func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale,
 			sparse.Add(b, t, sf*complex(st.v, 0))
 		}
 	}
-	return pat.sp.Factor(b, &sc.ws)
+	return pat.sp.Factor(b, ws)
 }
 
 // detAt evaluates the pattern's signed determinant at one point.
-func (sys *System) detAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-	lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
+func (sys *System) detAt(pat *pattern, ws *sparse.Workspace, s complex128, fscale, gscale float64) xmath.XComplex {
+	lu, err := sys.factorAt(pat, ws, s, fscale, gscale)
 	if err != nil {
 		return xmath.XComplex{}
 	}
@@ -289,9 +254,9 @@ func (sys *System) pattern(key [2]int, mk func() projection) *pattern {
 }
 
 // evaluator builds an interp.Evaluator over one cached pattern: the
-// serial Eval evaluates with a pooled scratch (allocation-free in the
+// serial Eval evaluates with a pooled workspace (allocation-free in the
 // steady state), while EvalBatch fans the frame's points out over a
-// worker pool with one pooled scratch per worker — returned to the
+// worker pool with one pooled workspace per worker — returned to the
 // pattern's free list when the batch drains — serially priming the
 // shared pivot plan first so serial and parallel runs are bit-identical.
 func (sys *System) evaluator(name string, m int, key [2]int, mk func() projection) interp.Evaluator {
@@ -299,29 +264,11 @@ func (sys *System) evaluator(name string, m int, key [2]int, mk func() projectio
 	return interp.Evaluator{
 		Name: name, M: m, OrderBound: sys.orderBound(m),
 		Eval: func(s complex128, f, g float64) xmath.XComplex {
-			sc := pat.get()
-			det := sys.detAt(pat, sc, s, f, g)
-			pat.put(sc)
-			return det
+			return sys.detPooled(pat, s, f, g)
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, f, g float64, workers int) []xmath.XComplex {
-			var mu sync.Mutex
-			var acquired []*evalScratch
-			// RunBatch returns only after every worker goroutine has
-			// exited, so the scratches are idle when released.
-			defer func() {
-				for _, sc := range acquired {
-					pat.put(sc)
-				}
-			}()
-			return interp.RunBatch(ctx, points, workers, pat.sp.Primed, func() func(complex128) xmath.XComplex {
-				sc := pat.get()
-				mu.Lock()
-				acquired = append(acquired, sc)
-				mu.Unlock()
-				return func(s complex128) xmath.XComplex {
-					return sys.detAt(pat, sc, s, f, g)
-				}
+			return interp.RunPooled(ctx, points, workers, pat.sp.Primed, &pat.free, func(ws *sparse.Workspace, s complex128) xmath.XComplex {
+				return sys.detAt(pat, ws, s, f, g)
 			})
 		},
 	}
@@ -342,21 +289,18 @@ func (sys *System) evaluator(name string, m int, key [2]int, mk func() projectio
 func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex)) (func(s complex128, fscale, gscale float64) (num, den xmath.XComplex), func() bool) {
 	pat := sys.detPattern()
 	evalBoth := func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
-		sc := pat.get()
-		defer pat.put(sc)
-		lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
+		ws := pat.free.Get()
+		defer pat.free.Put(ws)
+		lu, err := sys.factorAt(pat, ws, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
-		b := sc.rhs
-		for i := range b {
-			b[i] = 0
-		}
+		b, x := ws.SolveVectors(pat.proj.dim)
 		b[in] = 1
-		if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
+		if err := lu.SolveInto(x, b, ws); err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
-		return pick(lu.Det(), sc.sol)
+		return pick(lu.Det(), x)
 	}
 	return evalBoth, pat.sp.Primed
 }
@@ -472,12 +416,12 @@ func (sys *System) Cofactor(r, c int, s complex128, fscale, gscale float64) xmat
 	return sys.detPooled(sys.cofactorPattern(r, c), s, fscale, gscale)
 }
 
-// detPooled is detAt through the pattern's scratch pool — the shared
-// path of the public single-point evaluation methods.
+// detPooled is detAt through the pattern's workspace free list — the
+// shared path of the serial and public single-point evaluations.
 func (sys *System) detPooled(pat *pattern, s complex128, fscale, gscale float64) xmath.XComplex {
-	sc := pat.get()
-	det := sys.detAt(pat, sc, s, fscale, gscale)
-	pat.put(sc)
+	ws := pat.free.Get()
+	det := sys.detAt(pat, ws, s, fscale, gscale)
+	pat.free.Put(ws)
 	return det
 }
 

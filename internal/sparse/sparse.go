@@ -371,20 +371,66 @@ func Add(b []complex128, s int32, v complex128) {
 }
 
 // Workspace holds reusable factorization and solve storage: the stamp
-// slots, the slot values being factored (stamps plus fill, multipliers
-// overwriting the eliminated entries) and the forward-substitution
-// vector. A Workspace is not safe for concurrent use; the batched
-// evaluation layer keeps one per worker.
+// slots, the frame-constant stamps kept by KeepPrestamps, the slot
+// values being factored (stamps plus fill, multipliers overwriting the
+// eliminated entries), the forward-substitution vector and a solve's
+// right-hand side and solution. A Workspace is not safe for concurrent
+// use; the batched evaluation layer keeps one per worker. Its zero value
+// is ready to use.
 type Workspace struct {
-	lu    LU
-	stamp []complex128
-	vals  []complex128
-	fwd   []complex128
+	lu       LU
+	stamp    []complex128
+	vals     []complex128
+	fwd      []complex128
+	rhs, sol []complex128
+
+	// pre holds the stamp slots of prePat after the frame-constant
+	// stamps of (preOwner, preKey); preOK reports that it is complete.
+	pre      []complex128
+	prePat   *Pattern
+	preOwner any
+	preKey   uint64
+	preOK    bool
 }
 
 // Stamps returns ws's stamp slots for p, zeroed, for the caller to
 // accumulate values into with Add before calling p.Factor.
 func (ws *Workspace) Stamps(p *Pattern) []complex128 { return grow(&ws.stamp, len(p.row)) }
+
+// Prestamps is Stamps for matrices whose stamps split into a
+// frame-constant part, identified by (owner, key), and the rest. When ws
+// kept that part for p (KeepPrestamps after an earlier miss), the slots
+// start from it and kept is true; the caller adds only the rest, in the
+// same order as always, so every slot is bitwise what stamping from zero
+// gives. Otherwise the slots are zeroed and the caller adds the
+// frame-constant stamps, calls KeepPrestamps, then adds the rest.
+func (ws *Workspace) Prestamps(p *Pattern, owner any, key uint64) (b []complex128, kept bool) {
+	if ws.preOK && ws.prePat == p && ws.preOwner == owner && ws.preKey == key {
+		b = ws.stamp[:len(p.row)]
+		copy(b, ws.pre)
+		return b, true
+	}
+	ws.preOK, ws.prePat, ws.preOwner, ws.preKey = false, p, owner, key
+	return ws.Stamps(p), false
+}
+
+// KeepPrestamps records the stamp slots of the last Prestamps miss as
+// its frame-constant part.
+func (ws *Workspace) KeepPrestamps() {
+	n := len(ws.prePat.row)
+	if cap(ws.pre) < n {
+		ws.pre = make([]complex128, n)
+	}
+	ws.pre = ws.pre[:n]
+	copy(ws.pre, ws.stamp[:n])
+	ws.preOK = true
+}
+
+// SolveVectors returns ws's right-hand-side vector, zeroed, and its
+// solution vector, both of length n, for a SolveInto with ws.
+func (ws *Workspace) SolveVectors(n int) (rhs, sol []complex128) {
+	return grow(&ws.rhs, n), grow(&ws.sol, n)
+}
 
 // grow returns (*buf)[:n] zeroed, reallocating only when n exceeds every
 // previous request.
@@ -681,20 +727,20 @@ func (sym *Symbolic) replay(a []complex128, ws *Workspace) (*LU, error) {
 }
 
 // guardFails reports whether |piv| < guardRatio·max|row|, the row being
-// the pivot and its U slots. The bound max(|re|+|im|) ≥ max|v| settles
-// the common, far-from-failing case without a square root; only a pivot
-// within a factor of two of failing (or a non-finite row) takes the
-// exact test.
+// the pivot and its U slots. A first test of max(|re|,|im|) ≤ |piv|
+// against the bound max(|re|+|im|) ≥ max|v| accepts the common,
+// far-from-failing pivot without a square root; only a pivot it cannot
+// accept pays for |piv|, in the same bound test and then the exact one.
 func guardFails(piv complex128, us []int32, a []complex128) bool {
-	pa := cmplx.Abs(piv)
-	bound := pa
-	for _, s := range us {
-		v := a[s]
-		if m := math.Abs(real(v)) + math.Abs(imag(v)); !(m <= bound) {
-			bound = m
-		}
+	pm := math.Abs(real(piv))
+	if im := math.Abs(imag(piv)); im > pm {
+		pm = im
 	}
-	if pa >= 2*guardRatio*bound {
+	if pm >= 2*guardRatio*rowBound(pm, us, a) {
+		return false
+	}
+	pa := cmplx.Abs(piv)
+	if pa >= 2*guardRatio*rowBound(pa, us, a) {
 		return false
 	}
 	rowMax := 0.0
@@ -709,6 +755,18 @@ func guardFails(piv complex128, us []int32, a []complex128) bool {
 		}
 	}
 	return pa < guardRatio*rowMax
+}
+
+// rowBound returns the running max of bound and |re|+|im| over the U
+// slots us.
+func rowBound(bound float64, us []int32, a []complex128) float64 {
+	for _, s := range us {
+		v := a[s]
+		if m := math.Abs(real(v)) + math.Abs(imag(v)); !(m <= bound) {
+			bound = m
+		}
+	}
+	return bound
 }
 
 // LU is a sparse factorization with full (row and column) pivoting,

@@ -25,7 +25,28 @@ type XComplex struct {
 	exp  int64
 }
 
+// normComplex scales m by the power of two that brings its larger
+// component into [1,2). The power is read off the larger component's
+// biased exponent field (the bits of non-negative floats order like
+// their values), and the scaling is one multiply by pow2 — exact, or a
+// single rounding of the smaller component into the subnormal range,
+// bitwise what math.Ldexp gives. A zero, subnormal, near-overflow
+// (field expMask−1, where 2^−shift is not normal) or non-finite larger
+// component takes normComplexSlow.
 func normComplex(m complex128, e int64) XComplex {
+	const abs = 1<<63 - 1
+	be := max(math.Float64bits(real(m))&abs, math.Float64bits(imag(m))&abs) >> expShift
+	if be-1 >= expMask-2 { // be is 0, expMask−1 or expMask
+		return normComplexSlow(m, e)
+	}
+	shift := int64(be) - expBias // bring max component into [1,2)
+	s := pow2(-shift)
+	return XComplex{mant: complex(real(m)*s, imag(m)*s), exp: e + shift}
+}
+
+// normComplexSlow is normComplex by math.Frexp and math.Ldexp; it
+// rejects NaN and infinite components.
+func normComplexSlow(m complex128, e int64) XComplex {
 	re, im := real(m), imag(m)
 	if math.IsNaN(re) || math.IsNaN(im) || math.IsInf(re, 0) || math.IsInf(im, 0) {
 		panic(fmt.Sprintf("xmath: cannot represent %v", m))
@@ -133,8 +154,7 @@ func (z XComplex) Add(w XComplex) XComplex {
 	if d > 64 {
 		return z
 	}
-	scale := math.Ldexp(1, -int(d))
-	return normComplex(z.mant+w.mant*complex(scale, 0), z.exp)
+	return normComplex(z.mant+w.mant*complex(pow2(-d), 0), z.exp)
 }
 
 // Sub returns z−w.

@@ -32,7 +32,21 @@ type XFloat struct {
 // representable; they panic, because every code path in this module that
 // could produce them is a bug upstream (singular matrix handling must
 // happen before scalar conversion).
+//
+// A normal v is split by its bits alone: the mantissa is v with the
+// biased exponent field set to expBias, the exponent the field minus
+// expBias. Zeros, subnormals and non-finite values take fromFloatSlow.
 func FromFloat(v float64) XFloat {
+	bits := math.Float64bits(v)
+	be := bits >> expShift & expMask
+	if be-1 >= expMask-1 { // be is 0 or expMask
+		return fromFloatSlow(v)
+	}
+	return XFloat{mant: math.Float64frombits(bits&^(expMask<<expShift) | expBias<<expShift), exp: int64(be) - expBias}
+}
+
+// fromFloatSlow is FromFloat by math.Frexp.
+func fromFloatSlow(v float64) XFloat {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("xmath: cannot represent %v", v))
 	}
@@ -42,6 +56,20 @@ func FromFloat(v float64) XFloat {
 	frac, e := math.Frexp(v) // v = frac × 2^e, 0.5 ≤ |frac| < 1
 	return XFloat{mant: frac * 2, exp: int64(e) - 1}
 }
+
+// The IEEE-754 binary64 exponent field: bits>>expShift&expMask of a
+// float64, biased by expBias. A field of expMask marks NaN and ±Inf, 0
+// marks ±0 and the subnormals.
+const (
+	expShift = 52
+	expMask  = 0x7ff
+	expBias  = 1023
+)
+
+// pow2 returns 2^k for −1022 ≤ k ≤ 1023, where it is a normal float64.
+// Multiplying by it is exact, or rounds once into the subnormal range
+// exactly as math.Ldexp does.
+func pow2(k int64) float64 { return math.Float64frombits(uint64(k+expBias) << expShift) }
 
 // NaN returns a quiet not-a-number XFloat. Together with Inf it is the
 // only non-finite value the type admits, and it exists for the fault
@@ -139,7 +167,7 @@ func (x XFloat) Add(y XFloat) XFloat {
 	if d > 64 {
 		return x
 	}
-	return FromParts(x.mant+math.Ldexp(y.mant, -int(d)), x.exp)
+	return FromParts(x.mant+y.mant*pow2(-d), x.exp)
 }
 
 // Sub returns x−y.

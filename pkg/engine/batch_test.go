@@ -225,3 +225,51 @@ func TestWarmStateNil(t *testing.T) {
 		t.Error("empty response yields warm state")
 	}
 }
+
+// TestGenerateBatchMatchesPerPointGenerate pins that every point of a
+// sweep — whose systems share patterns, plans and per-worker
+// workspaces, frame-constant stamps included — is bit-identical to a
+// standalone Generate of the same point replaying its own schedule, on
+// both the nodal and the MNA backend.
+func TestGenerateBatchMatchesPerPointGenerate(t *testing.T) {
+	ota := circuits.OTA()
+	inp, _, out := circuits.OTAInputs()
+	ota.AddV("vdrive", inp, "0", 1)
+	ladder, ladderSpec := ladderSpec(12)
+	for _, tc := range []struct {
+		name string
+		ckt  *Circuit
+		spec Spec
+	}{
+		{"nodal", ladder, ladderSpec},
+		{"mna", ota, Spec{Kind: "mna", Out: out}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{MaxIterations: 300}
+			points := tolerancePoints(tc.ckt, 5, 0.05, 3)
+			batch, err := eng.GenerateBatch(context.Background(), BatchRequest{Circuit: tc.ckt, Spec: tc.spec, Points: points, Options: &opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			heurF, heurG := DefaultScales(tc.ckt)
+			for i, p := range batch.Points {
+				if p.Err != nil {
+					t.Fatalf("point %d: %v", i, p.Err)
+				}
+				opts := Options{MaxIterations: 300, InitFScale: heurF, InitGScale: heurG, WarmStart: p.Response.WarmState()}
+				direct, err := eng.Generate(context.Background(), Request{Circuit: scaledCircuit(tc.ckt, points[i]), Spec: tc.spec, Options: &opts})
+				if err != nil {
+					t.Fatalf("point %d: %v", i, err)
+				}
+				if !core.CoefficientsEqual(direct.Num.Coeffs, p.Response.Num.Coeffs) ||
+					!core.CoefficientsEqual(direct.Den.Coeffs, p.Response.Den.Coeffs) {
+					t.Errorf("point %d: batch result differs from per-point Generate", i)
+				}
+			}
+		})
+	}
+}
